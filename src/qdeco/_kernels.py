@@ -1,163 +1,67 @@
-"""Bitwise state-vector kernels for qubit registers.
+"""Fused state-vector kernels for qubit registers.
 
 Amplitude arrays are little-endian: basis index ``mu`` encodes the ket
-|i_{L-1} ... i_1 i_0> with qubit ``j`` stored in bit ``j`` of ``mu``.
+|i_{L-1} ... i_1 i_0> with qubit ``j`` stored in bit ``j`` of ``mu``.  The
+last axis holds the amplitudes; leading axes are a batch of states, which
+act as extra high bits.
 
-Two implementations are provided for every kernel: a numba ``@njit`` version
-(default) and a pure-numpy one.  Set ``QDECO_BACKEND=numpy`` in the
-environment to force the numpy path; ``QDECO_BACKEND=numba`` fails loudly if
-numba is unavailable.  ``benchmarks/bench_kernels.py`` compares the two.
+A diagonal operator is one complex vector multiplied in.  Single-site gates
+are fused in runs of up to ``GROUP`` adjacent sites into one Kronecker
+product each and applied as one matmul on a ``reshape(-1, 2^k, 2^lo)`` view
+(gate fusion, as in Qulacs, Suzuki et al., Quantum 5, 559 (2021), and
+Haener & Steiger, SC17, arXiv:1704.01127).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _HAVE_NUMBA = False
+GROUP = 4
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _pair_view(psi, j, k):
-    """Reshape so bits k and j (k > j) become separate axes."""
-    n = psi.shape[0]
-    low = 1 << j
-    mid = 1 << (k - j - 1)
-    high = n >> (k + 1)
-    return psi.reshape(high, 2, mid, 2, low)
+def pair_signs(num_qubits: int, j: int, k: int) -> np.ndarray:
+    """s_j s_k over the basis: +1 where bits j and k agree, -1 where they
+    differ (s = +1 for bit 0)."""
+    mu = np.arange(1 << num_qubits)
+    return 1.0 - 2.0 * (((mu >> j) ^ (mu >> k)) & 1)
 
 
-def kick_numpy(psi, j, u00, u01, u10, u11):
-    v = psi.reshape(-1, 2, 1 << j)
-    a = v[:, 0, :].copy()
-    b = v[:, 1, :]
-    v[:, 0, :] = u00 * a + u01 * b
-    v[:, 1, :] = u10 * a + u11 * b
-    return psi
+def ising_phase(num_qubits: int, pairs) -> np.ndarray:
+    """Diagonal of exp(-i sum_{j<k} J_jk s_j s_k), accumulated pair by pair
+    from ``(j, k, J_jk)`` triples."""
+    energy = np.zeros(1 << num_qubits)
+    for j, k, strength in pairs:
+        energy += strength * pair_signs(num_qubits, j, k)
+    return np.exp(-1j * energy)
 
 
-def ising_z_numpy(psi, j, k, phase_same, phase_diff):
-    if j > k:
-        j, k = k, j
-    v = _pair_view(psi, j, k)
-    v[:, 0, :, 0, :] *= phase_same
-    v[:, 1, :, 1, :] *= phase_same
-    v[:, 0, :, 1, :] *= phase_diff
-    v[:, 1, :, 0, :] *= phase_diff
-    return psi
+def fuse(gates, size: int = GROUP):
+    """Fuse one-site 2x2 gates (``None`` is the identity), site ``j`` first,
+    into ``(lo, k, matrix)`` runs over sites lo..lo+k-1; ``matrix`` is the
+    Kronecker product with site ``lo`` in its lowest bit.  Runs of identities
+    are dropped."""
+    groups = []
+    for lo in range(0, len(gates), size):
+        run = gates[lo:lo + size]
+        if all(g is None for g in run):
+            continue
+        m = np.eye(1)
+        for g in run:
+            m = np.kron(np.eye(2) if g is None else g, m)
+        groups.append((lo, len(run), m))
+    return groups
 
 
-def ising_x_numpy(psi, j, k, cos_j, misin_j):
-    if j > k:
-        j, k = k, j
-    v = _pair_view(psi, j, k)
-    a = v[:, 0, :, 0, :].copy()
-    b = v[:, 1, :, 1, :]
-    v[:, 0, :, 0, :] = cos_j * a + misin_j * b
-    v[:, 1, :, 1, :] = cos_j * b + misin_j * a
-    a = v[:, 0, :, 1, :].copy()
-    b = v[:, 1, :, 0, :]
-    v[:, 0, :, 1, :] = cos_j * a + misin_j * b
-    v[:, 1, :, 0, :] = cos_j * b + misin_j * a
-    return psi
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _kick_nb(psi, j, u00, u01, u10, u11):
-        bit = 1 << j
-        for i in range(psi.shape[0]):
-            if i & bit == 0:
-                p = i | bit
-                a = psi[i]
-                b = psi[p]
-                psi[i] = u00 * a + u01 * b
-                psi[p] = u10 * a + u11 * b
-
-    @njit(cache=True)
-    def _ising_z_nb(psi, j, k, phase_same, phase_diff):
-        for i in range(psi.shape[0]):
-            if ((i >> j) & 1) == ((i >> k) & 1):
-                psi[i] *= phase_same
-            else:
-                psi[i] *= phase_diff
-
-    @njit(cache=True)
-    def _ising_x_nb(psi, j, k, cos_j, misin_j):
-        hi = 1 << max(j, k)
-        mask = (1 << j) | (1 << k)
-        for i in range(psi.shape[0]):
-            if i & hi == 0:
-                p = i ^ mask
-                a = psi[i]
-                b = psi[p]
-                psi[i] = cos_j * a + misin_j * b
-                psi[p] = cos_j * b + misin_j * a
-
-    def kick_numba(psi, j, u00, u01, u10, u11):
-        _kick_nb(psi, j, u00, u01, u10, u11)
-        return psi
-
-    def ising_z_numba(psi, j, k, phase_same, phase_diff):
-        _ising_z_nb(psi, j, k, phase_same, phase_diff)
-        return psi
-
-    def ising_x_numba(psi, j, k, cos_j, misin_j):
-        _ising_x_nb(psi, j, k, cos_j, misin_j)
-        return psi
-
-
-BACKENDS = {"numpy": (kick_numpy, ising_z_numpy, ising_x_numpy)}
-if _HAVE_NUMBA:
-    BACKENDS["numba"] = (kick_numba, ising_z_numba, ising_x_numba)
-
-
-def _pick_backend():
-    choice = os.environ.get("QDECO_BACKEND", "").strip().lower()
-    if choice:
-        if choice not in BACKENDS:
-            raise RuntimeError(
-                f"QDECO_BACKEND={choice!r} not available; "
-                f"choices: {sorted(BACKENDS)}"
-            )
-        return choice
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _pick_backend()
-_KICK, _ISING_Z, _ISING_X = BACKENDS[_ACTIVE]
-
-
-def active_backend():
-    return _ACTIVE
-
-
-def kick(psi, j, u):
-    """Apply the 2x2 unitary ``u`` to qubit ``j`` of ``psi``, in place."""
-    return _KICK(psi, j, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-
-
-def ising_z(psi, j, k, strength):
-    """Multiply e^{-i*strength} into amplitudes where bits j,k agree and
-    e^{+i*strength} where they differ (two-site zz phase gate), in place."""
-    return _ISING_Z(psi, j, k, np.exp(-1j * strength), np.exp(1j * strength))
-
-
-def ising_x(psi, j, k, strength):
-    """Apply exp(-i*strength*XjXk), in place (pairwise amplitude mixing)."""
-    return _ISING_X(psi, j, k, complex(np.cos(strength)),
-                    -1j * np.sin(strength))
+def apply_groups(groups, psi, spare):
+    """Apply fused runs in order, alternating between ``psi`` and the
+    same-shaped ``spare`` buffer.  Returns ``(result, spare)``; either may
+    be the caller's ``psi``."""
+    for lo, k, m in groups:
+        if lo == 0:  # one GEMM over (rest x run)
+            np.matmul(psi.reshape(-1, 1 << k), m.T, out=spare.reshape(-1, 1 << k))
+        else:
+            view = psi.reshape(-1, 1 << k, 1 << lo)
+            np.matmul(m, view, out=spare.reshape(view.shape))
+        psi, spare = spare, psi
+    return psi, spare

@@ -232,11 +232,11 @@ def _lr_config(cfg: ExperimentConfig, spec: rm.ModelSpec) -> lr.LRConfig:
                        spec.couplings, n_env=spec.env_dims[0])
 
 
-def _p_infinity(cfg: ExperimentConfig, params: lr.InitParams) -> float:
+def _p_infinity(cfg: ExperimentConfig, lrc: lr.LRConfig,
+                params: lr.InitParams) -> float:
     if not math.isnan(cfg.p_infinity):
         return cfg.p_infinity
-    return lr.asymptotic_purity(
-        lr.LRConfig.single(cfg.configuration, 2, 1.0, 0.0), params)
+    return lr.asymptotic_purity(lrc, params)
 
 
 def _field_triple(name_or_triple: str):
@@ -276,7 +276,7 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p_lr = lr.purity_lr(lrc, params, times)
-        p_inf = _p_infinity(cfg, params)
+        p_inf = _p_infinity(cfg, lrc, params)
         p_elr = lr.exponentiate(p_lr, p_inf)
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,

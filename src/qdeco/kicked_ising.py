@@ -1,4 +1,4 @@
-"""Kicked Ising spin networks with bitwise state-vector kernels.
+"""Kicked Ising spin networks on a register state vector.
 
 One period applies all pairwise Ising phases, then all single-site magnetic
 kicks.  Ising couplings act along a single axis per model ('z' or 'x');
@@ -6,11 +6,19 @@ kick fields are specified relative to that axis as
 (parallel, transverse, transverse), so (0, 1.53, 0) is a transverse kick
 (integrable chain) and (1.4, 1.4, 0) a tilted one (chaotic) for either axis
 choice.  Sites are register bits (little-endian).
+
+Each model builds its period once, in the Ising-axis basis, and keeps it:
+the Ising terms commute and are diagonal there, so together they are one
+phase vector, and the kicks are fused into a few Kronecker matrices
+(``_kernels``).  For axis 'x' that basis is the Hadamard-rotated one;
+trajectories stay in it and only the small reduced density matrices are
+rotated back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,7 +54,9 @@ class KIModel:
     couplings[j, k] is symmetric with zero diagonal; fields[j] is the
     Cartesian kick vector of site j; coupling_pairs lists the (site, site)
     entries that couple the central system to its bath (used to build the
-    uncoupled reference evolution).
+    uncoupled reference evolution).  The period is built on first use and
+    kept on the instance; derive changed models with ``dataclasses.replace``
+    rather than editing the arrays in place.
     """
 
     num_spins: int
@@ -85,6 +95,10 @@ class KIModel:
     def central_mask(self) -> int:
         return sum(1 << s for s in self.central_sites)
 
+    @cached_property
+    def _period(self) -> "_Period":
+        return _Period(self)
+
     def uncoupled(self) -> "KIModel":
         """Same model with the central-bath coupling entries removed."""
         j = self.couplings.copy()
@@ -118,37 +132,64 @@ def kick_matrix(b_cartesian) -> np.ndarray:
     ])
 
 
-def apply_kick(psi, site: int, b_cartesian, site_shift: int = 0):
-    """Kick one site in place; |b| = 0 is the identity fast path."""
-    b = np.asarray(b_cartesian, dtype=float)
-    if not np.any(b):
-        return psi
-    return _kernels.kick(psi, site + site_shift, kick_matrix(b))
+class _Period:
+    """One period in the Ising-axis basis: the phase vector, then the fused
+    kicks (conjugated by H for axis 'x').  ``rotation`` maps between the
+    original and the Ising-axis basis; H^{(x)L} is its own inverse."""
+
+    def __init__(self, model: KIModel):
+        pairs = model.pairs
+        self.phase = _kernels.ising_phase(model.num_spins, pairs) if pairs else None
+        kicks = [kick_matrix(b) if np.any(b) else None for b in model.fields]
+        self.rotation = []
+        if model.axis == "x":
+            h = _kernels.HADAMARD
+            kicks = [None if u is None else h @ u @ h for u in kicks]
+            self.rotation = _kernels.fuse([h] * model.num_spins)
+        self.kicks = _kernels.fuse(kicks)
+
+    def step(self, psi, spare):
+        """Advance ``psi`` one period; returns ``(result, spare)``."""
+        if self.phase is not None:
+            psi *= self.phase
+        return _kernels.apply_groups(self.kicks, psi, spare)
+
+    def rotate(self, psi, spare):
+        return _kernels.apply_groups(self.rotation, psi, spare)
 
 
-def apply_ising_phase(psi, j: int, k: int, strength: float, axis: str = "z",
-                      site_shift: int = 0):
-    """Two-site Ising phase, in place: along z that multiplies e^{-iJ} where
-    bits agree and e^{+iJ} where they differ; along x it mixes the bit-pair
-    flipped amplitudes."""
+def floquet_step(psi, model: KIModel):
+    """One period in the original basis, in place: all Ising phases, then
+    all kicks.  Leading axes of ``psi`` are a batch of states."""
+    period = model._period
+    out, spare = period.rotate(psi, np.empty_like(psi))
+    out, spare = period.step(out, spare)
+    out, _ = period.rotate(out, spare)
+    if out is not psi:
+        psi[...] = out
+    return psi
+
+
+def apply_kick(psi, site: int, b_cartesian):
+    """Kick one site in place; |b| = 0 is the identity."""
+    L = qstate.num_qubits_of(psi)
+    fields = np.zeros((L, 3))
+    fields[site] = b_cartesian
+    return floquet_step(psi, KIModel(L, np.zeros((L, L)), fields))
+
+
+def apply_ising_phase(psi, j: int, k: int, strength: float, axis: str = "z"):
+    """Two-site Ising phase exp(-i strength A_j A_k), A the axis Pauli, in
+    place: along z that multiplies e^{-iJ} where bits agree and e^{+iJ}
+    where they differ."""
     if j == k:
         raise ConfigError("Ising phase needs two distinct sites")
     if strength == 0.0:
         return psi
-    if axis == "z":
-        return _kernels.ising_z(psi, j + site_shift, k + site_shift, strength)
-    if axis == "x":
-        return _kernels.ising_x(psi, j + site_shift, k + site_shift, strength)
-    raise ConfigError(f"Ising axis must be 'z' or 'x', got {axis!r}")
-
-
-def floquet_step(psi, model: KIModel, site_shift: int = 0):
-    """One period: all Ising phases, then all kicks.  In place."""
-    for j, k, strength in model.pairs:
-        apply_ising_phase(psi, j, k, strength, model.axis, site_shift)
-    for j in range(model.num_spins):
-        apply_kick(psi, j, model.fields[j], site_shift)
-    return psi
+    L = qstate.num_qubits_of(psi)
+    couplings = np.zeros((L, L))
+    couplings[j, k] = couplings[k, j] = strength
+    return floquet_step(psi, KIModel(L, couplings, np.zeros((L, 3)), axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +324,15 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     counts).  Concurrence is recorded only for a two-site central system;
     the off-diagonal measure follows the first central site.
     """
-    psi = np.array(psi0, dtype=complex)
+    period = model._period
+    psi, spare = period.rotate(np.array(psi0, dtype=complex),
+                               np.empty(len(psi0), dtype=complex))
     n_c = len(model.central_sites)
+    # the central rotation back to the original basis, H^{(x)n_c}
+    back = (reduce(np.kron, [_kernels.HADAMARD] * n_c) if model.axis == "x"
+            else None)
+    # bit of the first central site within the central reduction
+    pos = sorted(model.central_sites).index(model.central_sites[0])
     sampled = list(range(0, steps + 1, stride))
     if sampled[-1] != steps:
         sampled.append(steps)
@@ -296,56 +344,52 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     k = 0
     for step in range(steps + 1):
         if step:
-            floquet_step(psi, model)
+            psi, spare = period.step(psi, spare)
         if step == sampled[k]:
             rho = qstate.partial_trace(psi, model.central_mask)
+            if back is not None:
+                rho = back @ rho @ back
             pur[k] = metrics.purity(rho)
             ent[k] = metrics.von_neumann(rho)
-            rho_q = qstate.partial_trace(psi, 1 << model.central_sites[0])
-            off[k] = metrics.offdiagonal_decay(rho_q)
+            rho_q = rho.reshape(1 << (n_c - 1 - pos), 2, 1 << pos,
+                                1 << (n_c - 1 - pos), 2, 1 << pos)
+            off[k] = metrics.offdiagonal_decay(np.einsum("aibajb->ij", rho_q))
             if con is not None:
                 con[k] = metrics.concurrence(rho)
             k += 1
     return Trajectory(times, pur, con, ent, off)
 
 
-def _apply_pair_pauli(psi, j, k, axis):
-    out = psi.copy()
-    if axis == "x":
-        return _kernels.ising_x(out, j, k, np.pi / 2) * 1j  # -i sin(pi/2) XX = -i XX
-    _kernels.ising_z(out, j, k, np.pi / 2)
-    return out * 1j
-
-
 def cross_correlation(model: KIModel, psi0, i: int, j: int, taus):
     """Re <psi0| V~_i(tau) V~_j(tau') |psi0> on the grid taus x taus, with
     V_i the i-th central-bath coupling operator (unit strength) taken to the
-    interaction picture of the uncoupled period map."""
+    interaction picture of the uncoupled period map.  Runs in the Ising-axis
+    basis, where each V_i is a +-1 sign vector."""
     taus = [int(t) for t in taus]
     if taus != sorted(taus) or taus[0] < 0:
         raise ConfigError("tau grid must be sorted and nonnegative")
     pairs = model.coupling_pairs
     if not (0 <= i < len(pairs) and 0 <= j < len(pairs)):
         raise ConfigError("coupling indices out of range")
-    base = model.uncoupled()
+    period = model.uncoupled()._period
+    buf = np.empty(model.dim, dtype=complex)
+    phis = np.empty((taus[-1] + 1, model.dim), dtype=complex)
+    phis[0], _ = period.rotate(np.array(psi0, dtype=complex), buf)
+    for t in range(1, len(phis)):
+        phis[t], _ = period.step(phis[t - 1].copy(), buf)
 
     def lower_triangle(op_a, op_b):
         """R[a, b] = <phi_a| V_a U0^(a-b) V_b |phi_b> for a >= b."""
-        t_max = taus[-1]
-        phis = np.empty((t_max + 1, model.dim), dtype=complex)
-        phis[0] = psi0
-        for t in range(1, t_max + 1):
-            phis[t] = floquet_step(phis[t - 1].copy(), base)
-        bra = np.array([_apply_pair_pauli(phis[t], *op_a, model.axis) for t in taus])
-        kets = [_apply_pair_pauli(phis[t], *op_b, model.axis) for t in taus]
+        bra = phis[taus] * _kernels.pair_signs(model.num_spins, *op_a)
+        kets = phis[taus] * _kernels.pair_signs(model.num_spins, *op_b)
         r = np.zeros((len(taus), len(taus)), dtype=complex)
         for bi, tb in enumerate(taus):
-            ket = kets[bi].copy()
+            ket, spare = kets[bi], buf
             cur = tb
             for ai in range(bi, len(taus)):
                 ta = taus[ai]
                 while cur < ta:
-                    floquet_step(ket, base)
+                    ket, spare = period.step(ket, spare)
                     cur += 1
                 r[ai, bi] = bra[ai].conj() @ ket
         return r
@@ -360,16 +404,17 @@ def cross_correlation(model: KIModel, psi0, i: int, j: int, taus):
 
 
 def floquet_matrix(model: KIModel) -> np.ndarray:
-    """Dense one-period operator, built by pushing the identity through the
-    bitwise kernels (columns evolve in parallel via a site shift)."""
+    """Dense one-period operator.  Row c of the stepped identity is U e_c;
+    rows are stepped in blocks, so the only large array is the result."""
     if model.num_spins > MAX_SPECTRUM_SPINS:
         raise ResourceLimitError(
             f"dense period operator capped at {MAX_SPECTRUM_SPINS} spins, "
             f"got {model.num_spins}")
     d = model.dim
-    flat = np.eye(d, dtype=complex).ravel()
-    floquet_step(flat, model, site_shift=model.num_spins)
-    return flat.reshape(d, d)
+    rows = np.eye(d, dtype=complex)
+    for block in np.array_split(rows, max(1, d // 256)):
+        floquet_step(block, model)
+    return rows.T
 
 
 def floquet_spectrum(model: KIModel) -> np.ndarray:

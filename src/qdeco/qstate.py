@@ -102,10 +102,19 @@ def _gather_order(num_qubits: int, mask: int):
 
 
 def subsystem_matrix(psi, mask: int):
-    """Reshape ``psi`` into a (kept x rest) coefficient matrix."""
+    """Reshape ``psi`` into a (kept x rest) coefficient matrix.  A kept run
+    of adjacent bits lo..lo+k-1 is read through a ``(rest above, kept, rest
+    below)`` view, a copy-free one when the run is at the top or bottom of
+    the register; other masks gather through a permutation index."""
     L = num_qubits_of(psi)
-    k = int(mask).bit_count()
-    order = _gather_order(L, int(mask))
+    mask = int(mask)
+    validate_mask(mask, L)
+    k = mask.bit_count()
+    lo = (mask & -mask).bit_length() - 1
+    if mask and (mask >> lo) == (1 << k) - 1:
+        v = np.asarray(psi).reshape(-1, 1 << k, 1 << lo)
+        return v.transpose(1, 0, 2).reshape(1 << k, -1)
+    order = _gather_order(L, mask)
     return np.asarray(psi)[order].reshape(1 << k, 1 << (L - k))
 
 

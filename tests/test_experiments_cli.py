@@ -203,6 +203,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert mismatch.exit_code == 2
 
 
+@pytest.mark.parametrize("configuration", ["joint", "separate"])
+def test_cli_two_qubit_bath_layouts_finish(tmp_path, configuration):
+    # the asymptotic purity takes its coupling layout from the run's own
+    # linear-response config, which carries both couplings
+    res = CliRunner().invoke(main, [
+        "rmt-decay", "--preset", "fig-cpdecay", "--out", str(tmp_path),
+        "--set", "n_env=8", "--set", "n_hamiltonians=1", "--set", "n_initials=1",
+        "--set", f"configuration={configuration}"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "rmt-decay-summary.json").read_text())
+    assert summary["variants"][0]["p_infinity"] == 0.25
+
+
 def test_cli_env_var_override(tmp_path):
     runner = CliRunner()
     out = tmp_path / "env"

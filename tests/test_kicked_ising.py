@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -38,30 +40,40 @@ def dense_floquet(model):
     return u
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
-def test_kernels_match_dense_on_basis_states(backend):
-    kick, ising_z, ising_x = _kernels.BACKENDS[backend]
-    L = 4
-    u2 = ki.kick_matrix([0.4, -0.2, 0.9])
-    for j in range(L):
-        dense = one_site(sla.expm(-1j * (0.4 * SX - 0.2 * SY + 0.9 * SZ)), j, L)
-        for mu in range(1 << L):
-            psi = np.zeros(1 << L, dtype=complex)
-            psi[mu] = 1.0
-            kick(psi, j, u2[0, 0], u2[0, 1], u2[1, 0], u2[1, 1])
-            assert np.max(np.abs(psi - dense[:, mu])) < 1e-12
-    for (j, k) in ((0, 1), (1, 3), (0, 3)):
-        dz = sla.expm(-1j * 0.7 * one_site(SZ, j, L) @ one_site(SZ, k, L))
-        dx = sla.expm(-1j * 0.7 * one_site(SX, j, L) @ one_site(SX, k, L))
-        for mu in range(1 << L):
-            psi = np.zeros(1 << L, dtype=complex)
-            psi[mu] = 1.0
-            ising_z(psi, j, k, np.exp(-1j * 0.7), np.exp(1j * 0.7))
-            assert np.max(np.abs(psi - dz[:, mu])) < 1e-12
-            psi = np.zeros(1 << L, dtype=complex)
-            psi[mu] = 1.0
-            ising_x(psi, j, k, complex(np.cos(0.7)), -1j * np.sin(0.7))
-            assert np.max(np.abs(psi - dx[:, mu])) < 1e-12
+def dense_kick(b, site, num_spins):
+    return one_site(sla.expm(-1j * sum(bc * p for bc, p in zip(b, PAULIS))),
+                    site, num_spins)
+
+
+def test_kernels_match_dense_on_basis_states():
+    # fused kick runs (bottom, middle and top runs for a run length of two)
+    # and the Ising phase vector against dense operators, column by column
+    L = 6
+    g = qdeco.rng(14)
+    fields = g.uniform(-1, 1, (L, 3))
+    fields[3] = 0.0  # an identity site inside a run
+    kicks = [ki.kick_matrix(b) if np.any(b) else None for b in fields]
+    dense = np.eye(1 << L)
+    for j, b in enumerate(fields):
+        dense = dense_kick(b, j, L) @ dense
+    hadamard = reduce(np.kron, [_kernels.HADAMARD] * L)
+    for size in (1, 2, 4, 6):
+        layers = ((_kernels.fuse(kicks, size), dense),
+                  (_kernels.fuse([_kernels.HADAMARD] * L, size), hadamard))
+        for groups, want in layers:
+            for mu in range(1 << L):
+                psi = np.zeros(1 << L, dtype=complex)
+                psi[mu] = 1.0
+                out, _ = _kernels.apply_groups(groups, psi, np.empty_like(psi))
+                assert np.max(np.abs(out - want[:, mu])) < 1e-12
+    pairs = [(0, 1, 0.7), (1, 3, -0.4), (0, 5, 0.3)]
+    phase = _kernels.ising_phase(L, pairs)
+    hz = sum(s * one_site(SZ, j, L) @ one_site(SZ, k, L) for j, k, s in pairs)
+    hx = sum(s * one_site(SX, j, L) @ one_site(SX, k, L) for j, k, s in pairs)
+    # along z the phase is the diagonal; along x it acts in the H basis
+    assert np.max(np.abs(np.diag(phase) - sla.expm(-1j * hz))) < 1e-12
+    assert np.max(np.abs(hadamard @ np.diag(phase) @ hadamard
+                         - sla.expm(-1j * hx))) < 1e-12
 
 
 def test_ising_phase_contract():
@@ -96,9 +108,10 @@ def test_kick_conventions():
 
 
 def test_floquet_step_vs_dense_random_model():
+    # in place: at 4 spins the kicks fuse into one run, so a period ends in
+    # the spare buffer and is copied back into the caller's array
     g = qdeco.rng(2)
-    L = 8
-    for axis in ("z", "x"):
+    for L, axis in ((8, "z"), (8, "x"), (4, "z"), (4, "x")):
         j = np.zeros((L, L))
         for _ in range(10):
             a, b = g.integers(0, L, 2)
@@ -109,17 +122,56 @@ def test_floquet_step_vs_dense_random_model():
         u = dense_floquet(model)
         for _ in range(10):
             psi = qstate.random_state(1 << L, g)
-            out = ki.floquet_step(psi.copy(), model)
+            out = psi.copy()
+            assert ki.floquet_step(out, model) is out
             assert np.max(np.abs(out - u @ psi)) < 1e-10
 
 
 def test_floquet_matrix_matches_stepping():
     g = qdeco.rng(3)
-    model, _ = ki.build_env_config("e", 4, 0.1, (0.9, 0.9, 0), (1.4, 1.4, 0))
-    u = ki.floquet_matrix(model)
-    psi = qstate.random_state(model.dim, g)
-    assert np.max(np.abs(u @ psi - ki.floquet_step(psi.copy(), model))) < 1e-12
-    assert np.max(np.abs(u @ u.conj().T - np.eye(model.dim))) < 1e-10
+    for axis in ("z", "x"):
+        model, _ = ki.build_env_config("e", 4, 0.1, (0.9, 0.9, 0), (1.4, 1.4, 0),
+                                       axis=axis)
+        u = ki.floquet_matrix(model)
+        psi = qstate.random_state(model.dim, g)
+        assert np.max(np.abs(u @ psi - ki.floquet_step(psi.copy(), model))) < 1e-12
+        assert np.max(np.abs(u @ u.conj().T - np.eye(model.dim))) < 1e-10
+        assert np.max(np.abs(u - dense_floquet(model))) < 1e-12
+
+
+def _dense_trajectory(model, psi, steps):
+    """Purity, entropy, D and (for a pair) concurrence of the central
+    reduction, stepping the dense period in the original basis."""
+    u = dense_floquet(model)
+    n_c = len(model.central_sites)
+    rows = []
+    for _ in range(steps + 1):
+        rho = qstate.partial_trace(psi, model.central_mask)
+        rho_q = qstate.partial_trace(psi, 1 << model.central_sites[0])
+        rows.append([metrics.purity(rho), metrics.von_neumann(rho),
+                     metrics.offdiagonal_decay(rho_q)]
+                    + ([metrics.concurrence(rho)] if n_c == 2 else []))
+        psi = u @ psi
+    return np.array(rows)
+
+
+def test_evolve_ki_matches_dense_stepping():
+    # z-axis wiring (d), an x-axis register, and an x-axis model whose first
+    # central site is not its lowest one (the D_mean qubit moves)
+    g = qdeco.rng(18)
+    ring, _ = ki.build_env_config("d", 5, 0.2, (1.4, 1.4, 0), (1.4, 1.4, 0))
+    register = ki.build_memory_model(5, 2, (0, 3), 0.2, (0.9, 0.9, 0))
+    j = np.triu(g.uniform(-1, 1, (7, 7)), 1)
+    mixed = ki.KIModel(7, j + j.T, g.uniform(-1, 1, (7, 3)), axis="x",
+                       central_sites=(5, 1, 3))
+    for model in (ring, register, mixed):
+        central = qstate.random_state(1 << len(model.central_sites), g)
+        psi0 = ki.initial_state(model, central, g)
+        tr = ki.evolve_ki(model, psi0, 12)
+        want = _dense_trajectory(model, psi0, 12)
+        got = [tr.purity, tr.entropy, tr.offdiag]
+        got += [] if tr.concurrence is None else [tr.concurrence]
+        assert np.max(np.abs(np.column_stack(got) - want)) < 1e-10
 
 
 def test_zero_field_diagonal_and_zero_coupling_product():

@@ -100,6 +100,20 @@ def test_partial_trace_vs_dense_projector():
     assert np.max(np.abs(rho - dense)) < 1e-10
 
 
+def test_partial_trace_contiguous_runs_match_gather():
+    # every run of adjacent bits at 6 qubits is read through a reshaped view;
+    # compare with the gathered (kept x rest) matrix, plus a non-run mask
+    g = qdeco.rng(17)
+    psi = qstate.random_state(64, g)
+    runs = [((1 << k) - 1) << lo for k in range(1, 7) for lo in range(7 - k)]
+    for mask in runs + [0b100101]:
+        k = mask.bit_count()
+        m = psi[qstate._gather_order(6, mask)].reshape(1 << k, -1)
+        assert np.array_equal(qstate.subsystem_matrix(psi, mask), m)
+        rho = qstate.partial_trace(psi, mask)
+        assert np.max(np.abs(rho - m @ m.conj().T)) < 1e-15
+
+
 def test_both_reductions_share_purity():
     g = qdeco.rng(13)
     for mask in (0b000111, 0b101010, 0b000001):
