@@ -46,7 +46,9 @@ def _make_command(kind: str):
                   help="named reference configuration")
     @click.option("--seed", type=int, default=None, envvar="EXP_SEED")
     @click.option("--out", "out_dir", default=None, envvar="EXP_OUT")
-    @click.option("--threads", type=int, default=None, envvar="EXP_THREADS")
+    @click.option("--threads", type=int, default=None, envvar="EXP_THREADS",
+                  help="threads for the random-matrix runners; the "
+                  "kicked-Ising runners run serially")
     @click.option("--set", "overrides", multiple=True,
                   help="extra key=value overrides (repeatable)")
     def command(config_path, preset_name, seed, out_dir, threads, overrides):

@@ -22,6 +22,7 @@ from . import metrics, qstate, rmt
 from . import rmt_models as rm
 from .errors import ConfigError
 from .qstate import rng
+from .trajectory import average
 
 EXPERIMENT_KINDS = (
     "rmt-decay", "rmt-cp", "rmt-sigma", "unitality", "ki-decay", "ki-cp",
@@ -127,12 +128,15 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _parse_value(name: str, raw: str):
     typ = _FIELD_TYPES[name]
     raw = raw.strip()
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
-    if typ.startswith("tuple"):
-        return tuple(float(x) for x in raw.split(",") if x.strip())
+    try:
+        if typ == "int":
+            return int(raw)
+        if typ == "float":
+            return float(raw)
+        if typ.startswith("tuple"):
+            return tuple(float(x) for x in raw.split(",") if x.strip())
+    except ValueError:
+        raise ConfigError(f"{name} = {raw!r} is not a valid {typ}") from None
     return raw
 
 
@@ -393,17 +397,6 @@ def _ki_trajectories(cfg: ExperimentConfig, gen, model, central):
     return trs
 
 
-def _mean_traj(trs):
-    t = trs[0].times
-    p = np.mean([tr.purity for tr in trs], axis=0)
-    ps = np.std([tr.purity for tr in trs], axis=0, ddof=1) if len(trs) > 1 else 0 * p
-    c = (np.mean([tr.concurrence for tr in trs], axis=0)
-         if trs[0].concurrence is not None else None)
-    s = np.mean([tr.entropy for tr in trs], axis=0)
-    d = np.mean([tr.offdiag for tr in trs], axis=0)
-    return t, p, ps, c, s, d
-
-
 def _build_ki(cfg: ExperimentConfig):
     b_env = _field_triple(cfg.field)
     b_cen = _field_triple(cfg.field_central) if cfg.field_central else b_env
@@ -413,10 +406,10 @@ def _build_ki(cfg: ExperimentConfig):
 
 def _run_ki_decay(cfg: ExperimentConfig, gen):
     model, env = _build_ki(cfg)
-    trs = _ki_trajectories(cfg, gen, model, qstate.ghz_state(2))
-    t, p, ps, c, s, d = _mean_traj(trs)
+    avg = average(_ki_trajectories(cfg, gen, model, qstate.ghz_state(2)))
+    t, p = avg.times, avg.purity
     table = _table(["t", "P_mean", "P_std", "C_mean", "S_mean", "D_mean"],
-                   t, p, ps, c, s, d)
+                   t, p, avg.purity_std, avg.concurrence, avg.entropy, avg.offdiag)
     jc = env.j_normalized
     early = (t >= 1) & (t <= max(10, cfg.steps // 20))
     summary = {
@@ -449,8 +442,8 @@ def _run_ki_cp(cfg: ExperimentConfig, gen):
 
 def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
     model, env = _build_ki(cfg)
-    trs = _ki_trajectories(cfg, gen, model, qstate.ghz_state(2))
-    t, p, ps, c, s, d = _mean_traj(trs)
+    avg = average(_ki_trajectories(cfg, gen, model, qstate.ghz_state(2)))
+    t, p = avg.times, avg.purity
     tau = env.tau_h_estimate
     lo, hi = _fit_window(cfg, (10.0, min(tau / 10.0, float(cfg.steps))))
     win = (t >= lo) & (t <= hi)
@@ -463,7 +456,7 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
     fit = 1.0 - alpha * (1.0 - lr.rmtki_prediction(
         t, cfg.j_prime, cfg.q_env, tau, alpha=1.0, include_b2=False))
     table = _table(["t", "P_mean", "P_std", "rmt_reference", "rmt_fitted"],
-                   t, p, ps, ref, fit)
+                   t, p, avg.purity_std, ref, fit)
     a1 = np.vstack([np.ones(win.sum()), t[win]]).T
     a2 = np.vstack([np.ones(win.sum()), t[win] ** 2]).T
     ssr_lin = float(np.linalg.lstsq(a1, om[win], rcond=None)[1][0])
@@ -486,15 +479,14 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
     b = _field_triple(cfg.field)
     full = ki.build_memory_model(cfg.ring_spins, n, positions, cfg.mem_coupling,
                                  b, j_env=cfg.j_env)
-    seeds = gen.spawn(cfg.n_realizations)
-    ghz = qstate.ghz_state(n)
+    # every variant starts from the same states, so only the couplings differ
+    psi0s = [ki.initial_state(full, qstate.ghz_state(n), g)
+             for g in gen.spawn(cfg.n_realizations)]
 
     def averaged(model):
-        runs = []
-        for g in (s.spawn(1)[0] for s in seeds):
-            psi0 = ki.initial_state(model, ghz, g)
-            runs.append(ki.evolve_ki(model, psi0, cfg.steps, cfg.stride))
-        return runs[0].times, np.mean([r.purity for r in runs], axis=0)
+        avg = average([ki.evolve_ki(model, psi0, cfg.steps, cfg.stride)
+                       for psi0 in psi0s])
+        return avg.times, avg.purity
 
     t, p_full = averaged(full)
     spectator_p = []
@@ -673,8 +665,8 @@ def _preset_configs():
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Named experiment configurations mirroring the reference figures (bath
-    sizes capped to the desk limits; caps recorded in the run summary)."""
+    """Named experiment configurations mirroring the reference figures, with
+    bath sizes capped to the desk limits."""
     cfgs = _preset_configs()
     key = name.lower()
     if key not in cfgs:

@@ -22,10 +22,11 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import _kernels, metrics, qstate
+from . import _kernels, qstate
 from .errors import ConfigError, ResourceLimitError
-from .trajectory import Trajectory
+from .trajectory import Trajectory, measure
 
+MAX_SPINS = 20  # one state vector of 2^20 amplitudes is 16 MiB
 MAX_SPECTRUM_SPINS = 12
 
 # Reference kick fields, in (parallel, transverse, transverse) components.
@@ -71,6 +72,9 @@ class KIModel:
         self.couplings = np.asarray(self.couplings, dtype=float)
         self.fields = np.asarray(self.fields, dtype=float)
         L = self.num_spins
+        if L > MAX_SPINS:
+            raise ResourceLimitError(
+                f"kicked-Ising register capped at {MAX_SPINS} spins, got {L}")
         if self.couplings.shape != (L, L):
             raise ConfigError("couplings must be an L x L matrix")
         if self.fields.shape != (L, 3):
@@ -336,28 +340,17 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     sampled = list(range(0, steps + 1, stride))
     if sampled[-1] != steps:
         sampled.append(steps)
-    times = np.array(sampled, dtype=float)
-    pur = np.empty(len(sampled))
-    con = np.empty(len(sampled)) if n_c == 2 else None
-    ent = np.empty(len(sampled))
-    off = np.empty(len(sampled))
+    rhos = np.empty((len(sampled), 1 << n_c, 1 << n_c), dtype=complex)
     k = 0
     for step in range(steps + 1):
         if step:
             psi, spare = period.step(psi, spare)
         if step == sampled[k]:
-            rho = qstate.partial_trace(psi, model.central_mask)
-            if back is not None:
-                rho = back @ rho @ back
-            pur[k] = metrics.purity(rho)
-            ent[k] = metrics.von_neumann(rho)
-            rho_q = rho.reshape(1 << (n_c - 1 - pos), 2, 1 << pos,
-                                1 << (n_c - 1 - pos), 2, 1 << pos)
-            off[k] = metrics.offdiagonal_decay(np.einsum("aibajb->ij", rho_q))
-            if con is not None:
-                con[k] = metrics.concurrence(rho)
+            rhos[k] = qstate.partial_trace(psi, model.central_mask)
             k += 1
-    return Trajectory(times, pur, con, ent, off)
+    if back is not None:
+        rhos = back @ rhos @ back
+    return measure(sampled, rhos, pos)
 
 
 def cross_correlation(model: KIModel, psi0, i: int, j: int, taus):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .errors import ConfigError
 from .metrics import werner_curve, werner_curve_c0
 from .rmt import b2, b2_double_integral
 
@@ -44,9 +45,9 @@ class InitParams:
 
     def __post_init__(self):
         if not -1e-12 <= self.theta <= np.pi / 4 + 1e-12:
-            raise ValueError(f"theta={self.theta} outside [0, pi/4]")
+            raise ConfigError(f"theta={self.theta} outside [0, pi/4]")
         if not -1e-12 <= self.phi <= np.pi / 2 + 1e-12:
-            raise ValueError(f"phi={self.phi} outside [0, pi/2]")
+            raise ConfigError(f"phi={self.phi} outside [0, pi/2]")
 
     @classmethod
     def equatorial(cls, theta: float, gamma: float, delta: float = 0.0):
@@ -55,7 +56,7 @@ class InitParams:
         gamma; in the (phi, eta) parametrization that is phi = pi/4 and
         eta = -gamma."""
         if not -np.pi / 2 - 1e-12 <= gamma <= np.pi / 2 + 1e-12:
-            raise ValueError(f"gamma={gamma} outside [-pi/2, pi/2]")
+            raise ConfigError(f"gamma={gamma} outside [-pi/2, pi/2]")
         return cls(theta=theta, phi=np.pi / 4, eta=-gamma, delta=delta)
 
     @property
@@ -81,25 +82,25 @@ class LRConfig:
 
     def __post_init__(self):
         if self.configuration not in CONFIGURATIONS:
-            raise ValueError(f"unknown configuration {self.configuration!r}")
+            raise ConfigError(f"unknown configuration {self.configuration!r}")
         k = len(self.couplings)
         if len(self.beta) != k or len(self.tau_h) != k:
-            raise ValueError("beta, tau_h, couplings must have equal length")
+            raise ConfigError("beta, tau_h, couplings must have equal length")
         expected = {"one-qubit": 1, "spectator": 1, "separate": 2, "joint": 2}
         if self.configuration in expected and k != expected[self.configuration]:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.configuration} takes {expected[self.configuration]} coupling(s), got {k}"
             )
         if self.configuration == "joint" and (
             len(set(self.beta)) != 1 or len(set(self.tau_h)) != 1
         ):
-            raise ValueError("joint environment: both couplings share one spectrum")
+            raise ConfigError("joint environment: both couplings share one spectrum")
         if any(b not in (1, 2) for b in self.beta):
-            raise ValueError("beta entries must be 1 (GOE) or 2 (GUE)")
+            raise ConfigError("beta entries must be 1 (GOE) or 2 (GUE)")
         if any(l < 0 for l in self.couplings):
-            raise ValueError("couplings must be nonnegative")
+            raise ConfigError("couplings must be nonnegative")
         if any(t <= 0 for t in self.tau_h):
-            raise ValueError("Heisenberg times must be positive")
+            raise ConfigError("Heisenberg times must be positive")
 
     @classmethod
     def single(cls, configuration, beta, tau_h, coupling, n_env=None):

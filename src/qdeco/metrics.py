@@ -1,5 +1,8 @@
-"""Scalar diagnostics: purity, concurrence, entropies, off-diagonal decay,
-Werner-family concurrence-purity curves, and Bloch-vector unitality."""
+"""Diagnostics: purity, concurrence, entropies, off-diagonal decay,
+Werner-family concurrence-purity curves, and Bloch-vector unitality.
+
+The reduced-state observables take one density matrix or a stack of them,
+shape (..., d, d), and return a float or an array of the stack's shape."""
 
 from __future__ import annotations
 
@@ -15,35 +18,49 @@ _SYY = np.array(
      [-1, 0, 0, 0]], dtype=float)
 
 
-def purity(rho) -> float:
-    """tr rho^2."""
+def _value(x):
+    """A float for one matrix, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _stack_of(rho, d: int):
     rho = np.asarray(rho)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"need {d}x{d} density matrices, got shape {rho.shape}")
+    return rho
 
 
-def concurrence(rho) -> float:
-    """Two-qubit mixed-state concurrence.
+def purity(rho):
+    """tr rho^2, of one matrix or a stack (..., d, d)."""
+    rho = np.asarray(rho)
+    return _value(np.real(np.einsum("...ij,...ji->...", rho, rho)))
+
+
+def concurrence(rho):
+    """Two-qubit mixed-state concurrence, of one matrix or a stack
+    (..., 4, 4).
 
     Square roots of the (real, nonnegative up to rounding) eigenvalues of
     rho (sy x sy) rho* (sy x sy), sorted descending; then
     max(0, L1 - L2 - L3 - L4).  Conjugation is in the computational basis.
     The spectrum is taken from the similarity-equivalent Hermitian form
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), which keeps the rank-
-    deficient pure-state case accurate to machine precision.
+    deficient pure-state case accurate to machine precision.  Refuses the
+    whole stack if any member has an eigenvalue below -1e-10.
     """
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
+    rho = _stack_of(rho, 4)
 
     def msqrt(m):
-        ev, vec = np.linalg.eigh((m + m.conj().T) / 2)
+        ev, vec = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
         if ev.min() < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {ev.min()} < -1e-10")
-        return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.conj().T
+        root = vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]
+        return root @ vec.conj().swapaxes(-1, -2)
 
     flipped = _SYY @ rho.conj() @ _SYY
     lam = np.linalg.svd(msqrt(rho) @ msqrt(flipped), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return _value(np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3],
+                          0.0, None))
 
 
 def concurrence_pure(psi) -> float:
@@ -72,10 +89,11 @@ def entropy_from_purity(p: float) -> float:
     return float(np.sum(_h(np.array([(1 + r) / 2, (1 - r) / 2]))))
 
 
-def von_neumann(rho) -> float:
-    """-sum lambda log2 lambda over the eigenvalues of rho."""
+def von_neumann(rho):
+    """-sum lambda log2 lambda over the eigenvalues of rho, of one matrix or
+    a stack (..., d, d)."""
     ev = np.linalg.eigvalsh(np.asarray(rho))
-    return float(np.sum(_h(np.clip(ev, 0.0, None))))
+    return _value(np.sum(_h(np.clip(ev, 0.0, None)), axis=-1))
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -86,31 +104,28 @@ def eof_from_concurrence(c: float) -> float:
     return float(np.sum(_h(np.array([x, 1.0 - x]))))
 
 
-def offdiagonal_decay(rho) -> float:
-    """Basis-dependent decoherence measure 4|rho_01|^2 of a single qubit;
-    bounded by the purity."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("need a 2x2 density matrix")
-    return float(4.0 * abs(rho[0, 1]) ** 2)
+def offdiagonal_decay(rho):
+    """Basis-dependent decoherence measure 4|rho_01|^2 of a single qubit, or
+    of a stack (..., 2, 2); bounded by the purity."""
+    rho = _stack_of(rho, 2)
+    return _value(4.0 * np.abs(rho[..., 0, 1]) ** 2)
 
 
 def bloch_vector(rho) -> np.ndarray:
-    rho = np.asarray(rho)
-    return np.array([
-        2.0 * rho[0, 1].real,
-        -2.0 * rho[0, 1].imag,
-        (rho[0, 0] - rho[1, 1]).real,
-    ])
+    """(x, y, z) of a single-qubit state; a stack (..., 2, 2) gives (..., 3)."""
+    rho = _stack_of(rho, 2)
+    return np.stack([
+        2.0 * rho[..., 0, 1].real,
+        -2.0 * rho[..., 0, 1].imag,
+        (rho[..., 0, 0] - rho[..., 1, 1]).real,
+    ], axis=-1)
 
 
-def unitality_distance(rho) -> float:
+def unitality_distance(rho):
     """Euclidean distance of a single-qubit state from the maximally mixed
-    state: the Bloch-vector norm.  Zero iff rho = I/2."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("need a 2x2 density matrix")
-    return float(np.linalg.norm(bloch_vector(rho)))
+    state: the Bloch-vector norm.  Zero iff rho = I/2.  Takes one matrix or
+    a stack (..., 2, 2)."""
+    return _value(np.linalg.norm(bloch_vector(rho), axis=-1))
 
 
 # ---------------------------------------------------------------------------

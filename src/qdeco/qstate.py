@@ -232,8 +232,9 @@ def two_qubit_pair_general(theta: float, phi1: float, eta1: float,
 
 
 def ghz_state(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("GHZ needs at least 2 qubits")
+    """(|0...0> + |1...1>)/sqrt(2); |+> for one qubit."""
+    if n < 1:
+        raise ValueError("GHZ needs at least 1 qubit")
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return psi

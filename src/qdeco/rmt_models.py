@@ -29,7 +29,7 @@ from . import metrics, qstate
 from .errors import ConfigError, ResourceLimitError
 from .linear_response import InitParams
 from .rmt import EnsembleSpec, sample_matrix, unfold
-from .trajectory import RunningMoments, Trajectory
+from .trajectory import Trajectory, average, measure
 
 MAX_TOTAL_DIM = 1 << 14
 _ENV_CAPS = {"one-qubit": 2048, "spectator": 2048, "separate": 64, "joint": 512,
@@ -156,8 +156,8 @@ def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
 
 
 def _draw_coupling(spec: ModelSpec, env_dim: int, gen) -> np.ndarray:
-    return np.asarray(sample_matrix(EnsembleSpec(spec.ensemble, 2 * env_dim), gen),
-                      dtype=complex)
+    """Real symmetric for GOE, so its blocks diagonalize in real arithmetic."""
+    return sample_matrix(EnsembleSpec(spec.ensemble, 2 * env_dim), gen)
 
 
 def draw_realization(spec: ModelSpec, gen):
@@ -205,14 +205,13 @@ def _embed_add(h, op, dims, axes, scale=1.0):
 
 def _assemble(spec: ModelSpec, env_energies, couplings) -> np.ndarray:
     dims = _dims_of(spec)
-    h = np.zeros(dims + dims, dtype=complex)
+    h = np.zeros(dims + dims, dtype=np.result_type(float, *couplings))
     for q, delta in enumerate(spec.deltas):
         if delta != 0.0:
-            _embed_add(h, np.diag(_qubit_energies(delta)).astype(complex),
-                       dims, [_axis_of_qubit(spec, q)])
+            _embed_add(h, np.diag(_qubit_energies(delta)), dims,
+                       [_axis_of_qubit(spec, q)])
     for e, energies in enumerate(env_energies):
-        _embed_add(h, np.diag(energies).astype(complex), dims,
-                   [_axis_of_env(spec, e)])
+        _embed_add(h, np.diag(energies), dims, [_axis_of_env(spec, e)])
     for i, (lam, v) in enumerate(zip(spec.couplings, couplings)):
         if lam != 0.0:
             _embed_add(h, v, dims,
@@ -353,42 +352,18 @@ def initial_state(spec: ModelSpec, central, gen) -> np.ndarray:
 
 
 def reduce_central(spec: ModelSpec, psi) -> np.ndarray:
-    m = np.asarray(psi).reshape(1 << spec.num_qubits, -1)
-    return m @ m.conj().T
-
-
-def _coupled_qubit_rho(spec: ModelSpec, rho_c) -> np.ndarray:
-    n = spec.num_qubits
-    if n == 1:
-        return rho_c
-    t = rho_c.reshape([2] * (2 * n))
-    for _ in range(n - 1):  # trace all central axes except qubit 0
-        t = np.trace(t, axis1=0, axis2=t.ndim // 2)
-    return t
-
-
-def observables_of(spec: ModelSpec, psi):
-    rho_c = reduce_central(spec, psi)
-    p = metrics.purity(rho_c)
-    c = metrics.concurrence(rho_c) if spec.num_qubits == 2 else None
-    s = metrics.von_neumann(rho_c)
-    d = metrics.offdiagonal_decay(_coupled_qubit_rho(spec, rho_c))
-    return p, c, s, d
+    """Central density matrices of states with shape (..., total_dim):
+    rho[a, b] = sum_k m[a, k] conj(m[b, k]), with no conjugated copy of
+    the states."""
+    psi = np.asarray(psi)
+    m = psi.reshape(psi.shape[:-1] + (1 << spec.num_qubits, -1))
+    return np.vecdot(m[..., None, :, :], m[..., :, None, :])
 
 
 def _measure(spec: ModelSpec, states, times) -> Trajectory:
-    t = np.asarray(times, dtype=float)
-    two = spec.num_qubits == 2
-    pur = np.empty_like(t)
-    con = np.empty_like(t) if two else None
-    ent = np.empty_like(t)
-    off = np.empty_like(t)
-    for k in range(len(t)):
-        p, c, s, d = observables_of(spec, states[k])
-        pur[k], ent[k], off[k] = p, s, d
-        if two:
-            con[k] = c
-    return Trajectory(t, pur, con, ent, off)
+    """Observables of states shaped (len(times), ..., total_dim); the
+    series come out shaped (..., len(times))."""
+    return measure(times, np.moveaxis(reduce_central(spec, states), 0, -3))
 
 
 def run_trajectory(spec: ModelSpec, params: InitParams, times, gen,
@@ -428,41 +403,18 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
             elif c is None:
                 c = central_state(spec, params, params2)
             psi0s[i] = initial_state(spec, c, g)
-        states = prop.states(psi0s, t)
-        return [_measure(spec, states[:, i, :], t) for i in range(n_initials)]
+        return _measure(spec, prop.states(psi0s, t), t)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(one_hamiltonian, seeds))
     else:
         batches = [one_hamiltonian(g) for g in seeds]
-
-    mom = {k: RunningMoments() for k in ("purity", "concurrence", "entropy", "offdiag")}
-    samples = {"purity": [], "concurrence": []} if collect_samples else None
-    two = spec.num_qubits == 2
-    for rows in batches:
-        for tr in rows:
-            mom["purity"].add(tr.purity)
-            mom["entropy"].add(tr.entropy)
-            mom["offdiag"].add(tr.offdiag)
-            if two:
-                mom["concurrence"].add(tr.concurrence)
-            if collect_samples:
-                samples["purity"].append(tr.purity)
-                if two:
-                    samples["concurrence"].append(tr.concurrence)
-    n = mom["purity"].n
-    avg = Trajectory(
-        t, mom["purity"].mean,
-        mom["concurrence"].mean if two else None,
-        mom["entropy"].mean, mom["offdiag"].mean,
-        averaged=True, n_realizations=n,
-        purity_std=mom["purity"].std,
-        concurrence_std=mom["concurrence"].std if two else None,
-    )
+    avg = average(batches)
     if collect_samples:
-        samples = {k: np.array(v) for k, v in samples.items() if v}
-        return avg, samples
+        names = ("purity", "concurrence") if spec.num_qubits == 2 else ("purity",)
+        return avg, {k: np.concatenate([getattr(tr, k) for tr in batches])
+                     for k in names}
     return avg
 
 
@@ -498,10 +450,8 @@ def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,
         e1 /= np.linalg.norm(e1)
         assert abs(e0.conj() @ e1) < 1e-12
         psi0 = np.concatenate([e0, e1]) / np.sqrt(2.0)
-        states = prop.states(psi0, t)
-        return np.array([
-            metrics.unitality_distance(reduce_central(spec, s)) for s in states
-        ])
+        return metrics.unitality_distance(
+            reduce_central(spec, prop.states(psi0, t)))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import metrics
 
 
 @dataclass
 class Trajectory:
     """Observables of the central system along an evolution.
 
-    ``concurrence`` is None unless the central system is a qubit pair;
-    ``offdiag`` tracks the coupled qubit's off-diagonal decay measure.  For
-    ensemble averages ``averaged`` is True, the ``*_std`` arrays carry the
-    sample standard deviation, and ``n_realizations`` the count.
+    Each series has the time grid as its last axis; leading axes, if any,
+    index samples.  ``concurrence`` is None unless the central system is a
+    qubit pair; ``offdiag`` tracks the coupled qubit's off-diagonal decay
+    measure.  For ensemble averages ``averaged`` is True, the ``*_std``
+    arrays carry the sample standard deviation, and ``n_realizations`` the
+    count.
     """
 
     times: np.ndarray
@@ -28,42 +32,42 @@ class Trajectory:
     concurrence_std: np.ndarray | None = None
 
 
-class RunningMoments:
-    """Streaming mean/variance over equally shaped arrays."""
+def measure(times, rhos, bit: int = 0) -> Trajectory:
+    """Observables of stacked central density matrices, shape
+    (..., len(times), d, d).  The off-diagonal measure follows the qubit at
+    ``bit`` of the central index; concurrence is taken when d = 4."""
+    rhos = np.asarray(rhos)
+    d = rhos.shape[-1]
+    lo, hi = 1 << bit, d >> (bit + 1)  # central qubits below and above ``bit``
+    rho_q = rhos.reshape(rhos.shape[:-2] + (hi, 2, lo, hi, 2, lo))
+    return Trajectory(
+        np.asarray(times, dtype=float), metrics.purity(rhos),
+        metrics.concurrence(rhos) if d == 4 else None,
+        metrics.von_neumann(rhos),
+        metrics.offdiagonal_decay(np.einsum("...aibajb->...ij", rho_q)))
 
-    def __init__(self):
-        self.n = 0
-        self.mean = None
-        self._m2 = None
 
-    def add(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.mean is None:
-            self.mean = np.zeros_like(x)
-            self._m2 = np.zeros_like(x)
-        self.n += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.n
-        self._m2 = self._m2 + delta * (x - self.mean)
+def average(trajectories) -> Trajectory:
+    """Ensemble mean over trajectories on one time grid, each holding one
+    sample or a stack of them; the standard deviations use ddof=1 and are
+    zero for a single sample."""
+    times = trajectories[0].times
 
-    def merge(self, other: "RunningMoments"):
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self._m2 = other.n, other.mean.copy(), other._m2.copy()
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.n / n)
-        self._m2 = self._m2 + other._m2 + delta**2 * (self.n * other.n / n)
-        self.n = n
-        return self
+    def samples(name):
+        if getattr(trajectories[0], name) is None:
+            return None
+        return np.concatenate([np.reshape(getattr(tr, name), (-1, len(times)))
+                               for tr in trajectories])
 
-    @property
-    def std(self):
-        if self.n < 2:
-            return np.zeros_like(self.mean)
-        return np.sqrt(self._m2 / (self.n - 1))
+    p, c, s, d = map(samples, ("purity", "concurrence", "entropy", "offdiag"))
+    n = len(p)
+
+    def std(x):
+        return None if x is None else (x.std(axis=0, ddof=1) if n > 1 else 0 * x[0])
+
+    mean = [None if x is None else x.mean(axis=0) for x in (p, c, s, d)]
+    return Trajectory(times, *mean, averaged=True, n_realizations=n,
+                      purity_std=std(p), concurrence_std=std(c))
 
 
 def merge_averaged(a: Trajectory, b: Trajectory) -> Trajectory:
@@ -72,27 +76,22 @@ def merge_averaged(a: Trajectory, b: Trajectory) -> Trajectory:
         raise ValueError("merge needs averaged trajectories")
     if not np.array_equal(a.times, b.times):
         raise ValueError("time grids differ")
+    na, nb = a.n_realizations, b.n_realizations
+    n = na + nb
 
-    def comb(ma, sa, na, mb, sb, nb):
+    def pooled(ma, sa, mb, sb):
+        """Mean and ddof=1 standard deviation of the union (Chan et al.)."""
         if ma is None:
             return None, None
-        mom_a, mom_b = RunningMoments(), RunningMoments()
-        mom_a.n, mom_a.mean = na, np.asarray(ma, dtype=float)
-        mom_a._m2 = np.asarray(sa, dtype=float) ** 2 * max(na - 1, 0)
-        mom_b.n, mom_b.mean = nb, np.asarray(mb, dtype=float)
-        mom_b._m2 = np.asarray(sb, dtype=float) ** 2 * max(nb - 1, 0)
-        mom_a.merge(mom_b)
-        return mom_a.mean, mom_a.std
+        delta = mb - ma
+        m2 = (sa**2 * max(na - 1, 0) + sb**2 * max(nb - 1, 0)
+              + delta**2 * (na * nb / n))
+        return ma + delta * (nb / n), np.sqrt(m2 / (n - 1))
 
-    p, ps = comb(a.purity, a.purity_std, a.n_realizations,
-                 b.purity, b.purity_std, b.n_realizations)
-    c, cs = comb(a.concurrence, a.concurrence_std, a.n_realizations,
-                 b.concurrence, b.concurrence_std, b.n_realizations)
-    n = a.n_realizations + b.n_realizations
-    ent = None
-    if a.entropy is not None:
-        ent = (a.entropy * a.n_realizations + b.entropy * b.n_realizations) / n
-    off = None
-    if a.offdiag is not None:
-        off = (a.offdiag * a.n_realizations + b.offdiag * b.n_realizations) / n
-    return Trajectory(a.times, p, c, ent, off, True, n, ps, cs)
+    def mean(ma, mb):
+        return None if ma is None else (ma * na + mb * nb) / n
+
+    p, ps = pooled(a.purity, a.purity_std, b.purity, b.purity_std)
+    c, cs = pooled(a.concurrence, a.concurrence_std, b.concurrence, b.concurrence_std)
+    return Trajectory(a.times, p, c, mean(a.entropy, b.entropy),
+                      mean(a.offdiag, b.offdiag), True, n, ps, cs)

@@ -103,6 +103,18 @@ def test_memory_sumrule_runner():
     assert np.all(resid >= 0)
 
 
+def test_memory_sumrule_variants_share_bath_states():
+    # with one register qubit the only spectator variant is the full model;
+    # started from the same states it must reproduce P_full exactly
+    cfg = xp.ExperimentConfig(
+        kind="memory-sumrule", ring_spins=6, memory_qubits=1, positions=(2,),
+        mem_coupling=0.05, field="chaotic-soft", steps=20, stride=5,
+        n_realizations=2, seed=5)
+    table = xp.run(cfg)[0]["memory-sumrule"]
+    assert table.column("P_full")[-1] < 1.0 - 1e-6
+    assert np.array_equal(table.column("P_sp_0"), table.column("P_full"))
+
+
 def test_spectral_stats_runner_small():
     cfg = xp.ExperimentConfig(kind="spectral-stats", source="gue", rmt_dim=80,
                               rmt_draws=30, k2_points=8, seed=2)
@@ -201,6 +213,15 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert refused.exit_code == 3
     mismatch = runner.invoke(main, ["rmt-decay", "--preset", "fig-kichaos"])
     assert mismatch.exit_code == 2
+    tiny = ["--set", "n_env=8", "--set", "n_hamiltonians=1",
+            "--set", "n_initials=1", "--set", "n_times=3"]
+    for value in ("n_env=abc", "theta=2", "coupling=-0.1"):
+        bad_value = runner.invoke(main, ["rmt-decay", *tiny, "--set", value])
+        assert bad_value.exit_code == 2, (value, bad_value.output)
+        assert "configuration error" in bad_value.output
+    # the register cap refuses before any 2^L allocation
+    too_big = runner.invoke(main, ["ki-decay", "--set", "q_env=40"])
+    assert too_big.exit_code == 3, too_big.output
 
 
 @pytest.mark.parametrize("configuration", ["joint", "separate"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qdeco
 from qdeco import metrics, qstate
@@ -180,3 +183,73 @@ def test_cp_curve_binning_and_distance():
     assert abs(metrics.cp_distance(curve2, metrics.werner_curve) - eps * span) < 1e-3
     with pytest.raises(ValueError):
         metrics.bin_cp_samples([], [])
+
+
+def _mixed_and_pure_stack(g, d, n=6):
+    """Full-rank mixed states alternating with rank-one pure ones."""
+    out = []
+    for k in range(n):
+        if k % 2:
+            psi = qstate.random_state(d, g)
+            out.append(np.outer(psi, psi.conj()))
+        else:
+            out.append(random_rho(g, d))
+    return np.array(out).reshape(2, n // 2, d, d)
+
+
+@pytest.mark.parametrize("name, d", [
+    ("purity", 4), ("purity", 8), ("von_neumann", 4), ("concurrence", 4),
+    ("offdiagonal_decay", 2), ("unitality_distance", 2), ("bloch_vector", 2)])
+def test_stacked_metric_equals_per_matrix(name, d):
+    fn = getattr(metrics, name)
+    stack = _mixed_and_pure_stack(qdeco.rng(40 + d), d)
+    got = fn(stack)
+    assert isinstance(got, np.ndarray)
+    want = np.array([[fn(rho) for rho in row] for row in stack])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-14
+    if name != "bloch_vector":
+        assert isinstance(fn(stack[0, 0]), float)
+
+
+def test_stacked_shape_checks_and_refusal():
+    with pytest.raises(ValueError):
+        metrics.concurrence(np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError):
+        metrics.offdiagonal_decay(np.zeros((3, 4, 4)))
+    stack = _mixed_and_pure_stack(qdeco.rng(7), 4)
+    assert np.all(metrics.concurrence(stack) >= 0)
+    # one member with eigenvalue -0.01 refuses the whole stack
+    stack[1, 2] = np.diag([0.51, 0.5, 0.0, -0.01])
+    with pytest.raises(ValueError, match="eigenvalue"):
+        metrics.concurrence(stack)
+
+
+_ENTRIES = hnp.arrays(np.float64, (3, 2, 4, 4),
+                      elements=st.floats(-1.0, 1.0, allow_nan=False))
+_EULER = hnp.arrays(np.float64, (3, 2, 3),
+                    elements=st.floats(-np.pi, np.pi, allow_nan=False))
+
+
+def _su2(a, b, c):
+    """Rz(a) Ry(b) Rz(c)."""
+    p, m = np.exp(-0.5j * (a + c)), np.exp(-0.5j * (a - c))
+    cb, sb = np.cos(b / 2), np.sin(b / 2)
+    return np.array([[p * cb, -m * sb], [m.conj() * sb, p.conj() * cb]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ENTRIES, _EULER)
+def test_stack_bounds_and_local_unitary_invariance(entries, euler):
+    # random two-qubit stacks, rank one to full; P in [1/4, 1], C in [0, 1],
+    # and both unchanged by a different local unitary on each member
+    a = entries[:, 0] + 1j * entries[:, 1]
+    m = a @ a.conj().swapaxes(-1, -2) + 1e-9 * np.eye(4)
+    rho = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    p, c = metrics.purity(rho), metrics.concurrence(rho)
+    assert np.all((p >= 0.25 - 1e-12) & (p <= 1.0 + 1e-12))
+    assert np.all((c >= 0.0) & (c <= 1.0 + 1e-9))
+    u = np.array([np.kron(_su2(*e[0]), _su2(*e[1])) for e in euler])
+    turned = u @ rho @ u.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(metrics.purity(turned) - p)) < 1e-12
+    assert np.max(np.abs(metrics.concurrence(turned) - c)) < 1e-9

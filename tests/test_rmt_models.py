@@ -111,6 +111,39 @@ def test_propagator_matches_dense_evolution(cfg_kw):
     times = np.array([0.0, 0.4, 1.3])
     assert np.max(np.abs(prop.states(psi0, times)
                          - rm.evolve(h, psi0, times))) < 1e-11
+    # GOE couplings and eigenbases stay real
+    _, couplings = rm.draw_realization(spec, qdeco.rng(11))
+    assert all(np.isrealobj(v) for v in couplings)
+    assert all(np.isrealobj(block.q) for block in prop.blocks)
+
+
+@pytest.mark.parametrize("spec", [
+    small_spec(n_env=6),
+    rm.ModelSpec("n-qubit", 4, "GUE", 0.2, (0.3, 0.0, 0.5), n_qubits=3)])
+def test_stacked_measure_matches_per_sample_loop(spec):
+    # reference: one state at a time, the coupled qubit (bit 0) kept by
+    # tracing the other central qubits out one axis pair at a time
+    g = qdeco.rng(21)
+    prop = rm.Propagator(spec, g)
+    n = spec.num_qubits
+    psi0s = np.array([rm.initial_state(spec, qstate.random_state(1 << n, g), g)
+                      for _ in range(3)])
+    times = np.linspace(0.0, 2.0, 4)
+    states = prop.states(psi0s, times)
+    tr = rm._measure(spec, states, times)
+    for i in range(3):
+        for k in range(len(times)):
+            rho = rm.reduce_central(spec, states[k, i])
+            q = rho.reshape([2] * (2 * n))
+            for _ in range(n - 1):
+                q = np.trace(q, axis1=0, axis2=q.ndim // 2)
+            want = [metrics.purity(rho), metrics.von_neumann(rho),
+                    metrics.offdiagonal_decay(q)]
+            got = [tr.purity[i, k], tr.entropy[i, k], tr.offdiag[i, k]]
+            if n == 2:
+                want.append(metrics.concurrence(rho))
+                got.append(tr.concurrence[i, k])
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-14
 
 
 def test_run_trajectory_contracts():
