@@ -45,6 +45,9 @@ class ExperimentConfig:
     [sweep]      n_env_list, sigma_time_factor
     [analysis]   bin_width, alpha, fit_window
     [spectra]    source, rmt_dim, rmt_draws, ki_spins, impurity, k2_points
+
+    ``coupling`` (and ``coupling2``) are in code units: a coupling lambda is
+    lambda sqrt(N)/pi in mean level spacings of an N-level bath.
     """
 
     kind: str = "rmt-decay"
@@ -277,8 +280,8 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
         avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
                              cfg.n_initials, gen, threads=cfg.threads)
         lrc = _lr_config(cfg, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             p_lr = lr.purity_lr(lrc, params, times)
         p_inf = _p_infinity(cfg, lrc, params)
         p_elr = lr.exponentiate(p_lr, p_inf)
@@ -302,6 +305,7 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
             "final_P": float(avg.purity[-1]),
             "sudden_death_time": t_star,
             "n_realizations": avg.n_realizations,
+            "lr_warnings": sorted({str(w.message) for w in caught}),
         })
     return tables, summary
 
@@ -453,8 +457,7 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
     alpha = float(np.sum(om[win] * shape[win]) / np.sum(shape[win] ** 2))
     ref = lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau,
                               alpha=cfg.alpha, include_b2=False)
-    fit = 1.0 - alpha * (1.0 - lr.rmtki_prediction(
-        t, cfg.j_prime, cfg.q_env, tau, alpha=1.0, include_b2=False))
+    fit = 1.0 - alpha * shape
     table = _table(["t", "P_mean", "P_std", "rmt_reference", "rmt_fitted"],
                    t, p, avg.purity_std, ref, fit)
     a1 = np.vstack([np.ones(win.sum()), t[win]]).T
@@ -627,14 +630,16 @@ def _preset_configs():
             base, kind="rmt-sigma", configuration="one-qubit", ensemble="GOE",
             coupling=1e-3, gamma=0.0, n_env_list=(64, 128, 256, 512),
             n_hamiltonians=16, n_initials=12),
-        # concurrence-purity accumulation onto the Werner curve
+        # concurrence-purity accumulation onto the Werner curve; coupling
+        # 0.14 is about 1.0 mean level spacing at N=512
         "fig-transicion": replace(
             base, kind="rmt-cp", configuration="spectator", coupling=0.14,
             n_env=512, delta=(1.0,), t_max_over_tauh=0.35, n_times=60),
-        # concurrence decay in the strong-coupling (golden rule) regime
+        # concurrence decay in the strong-coupling (golden rule) regime, at a
+        # coupling where the exact rate still follows the second-order one
         "fig-cpdecay": replace(
-            base, kind="rmt-decay", configuration="joint", coupling=0.1,
-            n_env=512, delta=(0.1,), delta2=0.1, t_max_over_tauh=0.05,
+            base, kind="rmt-decay", configuration="joint", coupling=0.05,
+            n_env=512, delta=(0.1,), delta2=0.1, t_max_over_tauh=0.2,
             n_times=41),
         # Bloch-vector distance from the fully mixed state vs bath size
         "fig-unitality": replace(

@@ -28,6 +28,7 @@ from .trajectory import Trajectory, measure
 
 MAX_SPINS = 20  # one state vector of 2^20 amplitudes is 16 MiB
 MAX_SPECTRUM_SPINS = 12
+MAX_CORRELATION_AMPLITUDES = 1 << 26  # stored trajectory of 1 GiB
 
 # Reference kick fields, in (parallel, transverse, transverse) components.
 FIELD_PRESETS = {
@@ -364,6 +365,10 @@ def cross_correlation(model: KIModel, psi0, i: int, j: int, taus):
     pairs = model.coupling_pairs
     if not (0 <= i < len(pairs) and 0 <= j < len(pairs)):
         raise ConfigError("coupling indices out of range")
+    if (taus[-1] + 1) * model.dim > MAX_CORRELATION_AMPLITUDES:
+        raise ResourceLimitError(
+            f"correlation trajectory of {taus[-1] + 1} periods x {model.dim} "
+            f"amplitudes exceeds {MAX_CORRELATION_AMPLITUDES}")
     period = model.uncoupled()._period
     buf = np.empty(model.dim, dtype=complex)
     phis = np.empty((taus[-1] + 1, model.dim), dtype=complex)

@@ -23,6 +23,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError
 from .metrics import werner_curve, werner_curve_c0
+from .qstate import schmidt_pair
 from .rmt import b2, b2_double_integral
 
 CONFIGURATIONS = ("one-qubit", "spectator", "separate", "joint", "n-qubit")
@@ -145,10 +146,7 @@ def correlations(params: InitParams, tau):
 def initial_qubit_density(params: InitParams) -> np.ndarray:
     """The coupled qubit's reduced state: Schmidt weights (cos^2 theta,
     sin^2 theta) on the orthonormal pair defined by (phi, eta)."""
-    a = np.array([np.cos(params.phi) * np.exp(1j * params.eta / 2),
-                  np.sin(params.phi) * np.exp(-1j * params.eta / 2)])
-    b = np.array([-np.sin(params.phi) * np.exp(1j * params.eta / 2),
-                  np.cos(params.phi) * np.exp(-1j * params.eta / 2)])
+    a, b = schmidt_pair(params.phi, params.eta)
     ct2, st2 = np.cos(params.theta) ** 2, np.sin(params.theta) ** 2
     return ct2 * np.outer(a, a.conj()) + st2 * np.outer(b, b.conj())
 

@@ -137,8 +137,7 @@ def werner_curve(p):
     max(0, (sqrt(12 p - 3) - 1)/2)."""
     p = np.asarray(p, dtype=float)
     c = (np.sqrt(np.clip(12.0 * p - 3.0, 0.0, None)) - 1.0) / 2.0
-    out = np.clip(c, 0.0, None)
-    return out if out.ndim else float(out)
+    return _value(np.clip(c, 0.0, None))
 
 
 def werner_curve_c0(p, c0: float):
@@ -153,8 +152,7 @@ def werner_curve_c0(p, c0: float):
         raise ValueError("initial concurrence must lie in [0, 1]")
     p = np.asarray(p, dtype=float)
     root = np.sqrt(np.clip(1.0 - 4.0 * (1.0 - p) / (2.0 + c0 * c0), 0.0, None))
-    out = np.clip(c0 * (1.5 * root - 0.5), 0.0, None)
-    return out if out.ndim else float(out)
+    return _value(np.clip(c0 * (1.5 * root - 0.5), 0.0, None))
 
 
 def werner_curve_both(p, c0: float):
@@ -166,8 +164,7 @@ def werner_curve_both(p, c0: float):
     disc = 1.0 - (1.0 + c0 * c0) * (3.0 - 6.0 * p - c0 * c0)
     root = np.sqrt(disc.astype(complex))
     c = (c0 - 1.0) / 3.0 + (1.0 + 2.0 * c0) / 3.0 * ((-1.0 + root) / (1.0 + c0 * c0)).real
-    out = np.clip(c, 0.0, None)
-    return out if out.ndim else float(out)
+    return _value(np.clip(c, 0.0, None))
 
 
 def werner_deviation_estimate(coupling: float, n_env: int) -> float:

@@ -39,35 +39,16 @@ def split_index(mu: int, num_qubits: int, mask: int):
 
     The map mu <-> (i_kept, i_rest) is a bijection.
     """
-    validate_mask(mask, num_qubits)
+    i_a, i_b = _subsystem_maps(num_qubits, mask)
     if not 0 <= mu < (1 << num_qubits):
         raise ValueError(f"index {mu} outside register of {num_qubits} qubits")
-    i_a = i_b = 0
-    pos_a = pos_b = 0
-    for j in range(num_qubits):
-        bit = (mu >> j) & 1
-        if (mask >> j) & 1:
-            i_a |= bit << pos_a
-            pos_a += 1
-        else:
-            i_b |= bit << pos_b
-            pos_b += 1
-    return i_a, i_b
+    return int(i_a[mu]), int(i_b[mu])
 
 
 def merge_index(i_a: int, i_b: int, num_qubits: int, mask: int) -> int:
     """Inverse of :func:`split_index`."""
-    validate_mask(mask, num_qubits)
-    mu = 0
-    pos_a = pos_b = 0
-    for j in range(num_qubits):
-        if (mask >> j) & 1:
-            mu |= ((i_a >> pos_a) & 1) << j
-            pos_a += 1
-        else:
-            mu |= ((i_b >> pos_b) & 1) << j
-            pos_b += 1
-    return mu
+    d_b = 1 << (num_qubits - int(mask).bit_count())
+    return int(_gather_order(num_qubits, mask)[i_a * d_b + i_b])
 
 
 @lru_cache(maxsize=256)

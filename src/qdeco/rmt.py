@@ -69,19 +69,14 @@ def sample_matrix(spec: EnsembleSpec, gen) -> np.ndarray:
     if spec.kind == "GUE":
         diag = sample_gaussian(1.0, 0.0, gen, n).real
         off = sample_gaussian(1.0 / np.sqrt(2.0), 0.0, gen, (n, n))
-        m = np.zeros((n, n), dtype=complex)
-        iu = np.triu_indices(n, k=1)
-        m[iu] = off[iu]
-        m = m + m.conj().T
-        m[np.diag_indices(n)] = diag
     else:
         diag = sample_gaussian(np.sqrt(2.0), 0.0, gen, n).real
         off = sample_gaussian(1.0, 0.0, gen, (n, n)).real
-        m = np.zeros((n, n), dtype=float)
-        iu = np.triu_indices(n, k=1)
-        m[iu] = off[iu]
-        m = m + m.T
-        m[np.diag_indices(n)] = diag
+    m = np.zeros((n, n), dtype=off.dtype)
+    iu = np.triu_indices(n, k=1)
+    m[iu] = off[iu]
+    m = m + m.conj().T
+    m[np.diag_indices(n)] = diag
     return m
 
 

@@ -14,7 +14,11 @@ a flat density with the central mean level spacing (Heisenberg time
 Evolution never exponentiates per step: each realization is diagonalized
 once and reused for every initial condition and time (the couplings that do
 not factorize, joint and n-qubit, diagonalize the full space; the others
-diagonalize qubit+environment blocks).
+diagonalize qubit+environment blocks, ``separate`` in the product of its
+two block eigenbases).  A batch of initial states is projected into the
+eigenbasis once; each slice of times is one phase product and one GEMM per
+block back.  That linear algebra all runs on scipy's BLAS: numpy bundles a
+second OpenBLAS, whose threads compete with the ones scipy leaves spinning.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
+from scipy.linalg.blas import dgemm, zgemm
 
 from . import metrics, qstate
 from .errors import ConfigError, ResourceLimitError
@@ -148,7 +153,7 @@ def _qubit_energies(delta: float) -> np.ndarray:
 
 def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
     ens = EnsembleSpec(spec.ensemble, dim)
-    raw = np.linalg.eigvalsh(sample_matrix(ens, gen))
+    raw = eigvalsh(sample_matrix(ens, gen), driver="evd")  # as numpy's eigvalsh
     if spec.env_spectrum == "raw":
         return np.sort(raw)
     flat = unfold(raw).energies
@@ -253,6 +258,9 @@ def evolve(h, psi0, times):
 # factorized propagation (the Monte Carlo workhorse)
 # ---------------------------------------------------------------------------
 
+_TIME_SLICE = 8  # times per back-transform GEMM; bounds the transient memory
+
+
 class _Block:
     """Eigendecomposed sub-Hamiltonian acting on a group of state axes."""
 
@@ -260,29 +268,16 @@ class _Block:
         self.energies, self.q = eigh(matrix, driver="evr")
         self.axes = tuple(axes)
 
-    def apply(self, tensor, t):
-        """Propagate a batch: tensor shape (batch,) + dims."""
-        axes = [a + 1 for a in self.axes]
-        rest = [i for i in range(tensor.ndim) if i not in axes]
-        perm = axes + rest
-        dims = tensor.shape
-        block_dim = int(np.prod([dims[a] for a in axes]))
-        m = tensor.transpose(perm).reshape(block_dim, -1)
-        m = self.q @ (np.exp(-1j * self.energies * t)[:, None] * (self.q.conj().T @ m))
-        return m.reshape([dims[p] for p in perm]).transpose(np.argsort(perm))
-
 
 class Propagator:
     """One ensemble member with its diagonalizations done, reusable across
     initial conditions and times (the expensive part of a realization)."""
 
     def __init__(self, spec: ModelSpec, gen):
-        self.spec = spec
         self.dims = _dims_of(spec)
         env_energies, couplings = draw_realization(spec, gen)
-        self.env_energies = env_energies
         self.blocks: list[_Block] = []
-        self.phase_axes: list[tuple[int, np.ndarray]] = []
+        phase_axes = []
         if spec.configuration in ("joint", "n-qubit"):
             self.blocks.append(
                 _Block(_assemble(spec, env_energies, couplings),
@@ -297,31 +292,58 @@ class Propagator:
                       + lam * v)
                 self.blocks.append(
                     _Block(hb, (_axis_of_qubit(spec, qubit), _axis_of_env(spec, env))))
-            for q in range(spec.num_coupled, spec.num_qubits):
-                if spec.deltas[q] != 0.0:
-                    self.phase_axes.append(
-                        (_axis_of_qubit(spec, q), _qubit_energies(spec.deltas[q])))
+            phase_axes = [((_axis_of_qubit(spec, q),), _qubit_energies(spec.deltas[q]))
+                          for q in range(spec.num_coupled, spec.num_qubits)]
+        # eigenstate energies: block energies plus uncoupled splittings
+        energy = np.zeros(self.dims)
+        for axes, e in [(b.axes, b.energies) for b in self.blocks] + phase_axes:
+            energy = energy + e.reshape(
+                [n if a in axes else 1 for a, n in enumerate(self.dims)])
+        self.energies = energy.ravel()
+
+    def _rotate(self, src, dst, adjoint: bool):
+        """dst <- Q^dagger src (``adjoint``) or Q src for states on the last
+        axis: one GEMM per block over the other axes, or one per real and
+        imaginary part for a real Q.  Trailing block axes make that a
+        reshape and the GEMM writes straight into dst; other axes go through
+        transposed copies, so dst may be src."""
+        shape = src.shape[:-1] + tuple(self.dims)
+        for b in self.blocks:
+            axes = [a + src.ndim - 1 for a in b.axes]
+            perm = [a for a in range(len(shape)) if a not in axes] + axes
+            x = src.reshape(shape).transpose(perm).reshape(-1, len(b.q))
+            view = dst.reshape(shape).transpose(perm)
+            trailing = perm == sorted(perm)
+            y = view.reshape(x.shape) if trailing else np.empty_like(x)
+            # to BLAS, a row-major (rows, n) array is a column-major (n, rows) one
+            if np.iscomplexobj(b.q):
+                zgemm(1.0, b.q, x.T, trans_a=2 * adjoint, c=y.T, overwrite_c=True)
+            else:
+                for part in ("real", "imag"):
+                    plane = np.ascontiguousarray(getattr(x, part)).T
+                    getattr(y, part)[...] = dgemm(1.0, b.q, plane, trans_a=adjoint).T
+            if not trailing:
+                view[...] = y.reshape(view.shape)
+            src = dst
 
     def states(self, psi0, times):
         """Evolve a batch of initial states.
 
         psi0: (batch, total_dim) or (total_dim,); returns
         (len(times), batch, total_dim) or (len(times), total_dim).
+        The batch is projected into the eigenbasis once; each slice of
+        times is one phase product and one GEMM per block back.
         """
         single = np.ndim(psi0) == 1
-        batch = np.atleast_2d(np.asarray(psi0, dtype=complex))
-        t0 = batch.reshape([batch.shape[0]] + self.dims)
+        psi = np.atleast_2d(np.asarray(psi0, dtype=complex))
+        y = np.empty_like(psi)
+        self._rotate(psi, y, adjoint=True)
         times = np.asarray(times, dtype=float)
-        out = np.empty((len(times), batch.shape[0], batch.shape[1]), dtype=complex)
-        for k, t in enumerate(times):
-            cur = t0
-            for block in self.blocks:
-                cur = block.apply(cur, t)
-            for axis, energies in self.phase_axes:
-                shape = [1] * cur.ndim
-                shape[axis + 1] = 2
-                cur = cur * np.exp(-1j * energies * t).reshape(shape)
-            out[k] = cur.reshape(batch.shape)
+        out = np.empty((len(times),) + psi.shape, dtype=complex)
+        for k in range(0, len(times), _TIME_SLICE):
+            t = times[k:k + _TIME_SLICE]
+            phases = np.exp(-1j * np.multiply.outer(t, self.energies))
+            self._rotate(phases[:, None, :] * y, out[k:k + len(t)], adjoint=False)
         return out[:, 0, :] if single else out
 
 
@@ -334,8 +356,7 @@ def central_state(spec: ModelSpec, params: InitParams,
     """Canonical central state: the (theta, phi, eta) pair family, a single
     qubit, or a GHZ register for the n-qubit configuration."""
     if spec.configuration == "one-qubit":
-        return np.array([np.cos(params.phi) * np.exp(1j * params.eta / 2),
-                         np.sin(params.phi) * np.exp(-1j * params.eta / 2)])
+        return qstate.schmidt_pair(params.phi, params.eta)[0]
     if spec.configuration in ("spectator", "separate", "joint"):
         p2 = params2 if params2 is not None else InitParams(theta=params.theta)
         return qstate.two_qubit_pair_general(params.theta, params.phi, params.eta,
@@ -376,6 +397,13 @@ def run_trajectory(spec: ModelSpec, params: InitParams, times, gen,
     return _measure(spec, prop.states(psi0, times), times)
 
 
+def _map(fn, seeds, threads: int) -> list:
+    if threads <= 1:
+        return [fn(g) for g in seeds]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, seeds))
+
+
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
                 n_initials: int, gen, params2: InitParams | None = None,
                 threads: int = 1, params_sampler=None, central=None,
@@ -405,11 +433,7 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
             psi0s[i] = initial_state(spec, c, g)
         return _measure(spec, prop.states(psi0s, t), t)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(one_hamiltonian, seeds))
-    else:
-        batches = [one_hamiltonian(g) for g in seeds]
+    batches = _map(one_hamiltonian, seeds, threads)
     avg = average(batches)
     if collect_samples:
         names = ("purity", "concurrence") if spec.num_qubits == 2 else ("purity",)
@@ -453,9 +477,4 @@ def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,
         return metrics.unitality_distance(
             reduce_central(spec, prop.states(psi0, t)))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(g) for g in seeds]
-    return np.mean(rows, axis=0)
+    return np.mean(_map(one, seeds, threads), axis=0)

@@ -224,6 +224,22 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert too_big.exit_code == 3, too_big.output
 
 
+def test_cli_summary_keeps_linear_response_warnings(tmp_path):
+    tiny = ["--set", "n_env=12", "--set", "n_hamiltonians=1",
+            "--set", "n_initials=1", "--set", "n_times=5"]
+    runs = {}
+    for coupling in ("0.01", "0.5"):
+        out = tmp_path / coupling
+        res = CliRunner().invoke(main, [
+            "rmt-decay", "--seed", "3", "--out", str(out), *tiny,
+            "--set", f"coupling={coupling}", "--set", "t_max_over_tauh=2"])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((out / "rmt-decay-summary.json").read_text())
+        runs[coupling] = summary["variants"][0]["lr_warnings"]
+    assert runs["0.01"] == []
+    assert any("1 - P exceeds 0.3" in m for m in runs["0.5"])
+
+
 @pytest.mark.parametrize("configuration", ["joint", "separate"])
 def test_cli_two_qubit_bath_layouts_finish(tmp_path, configuration):
     # the asymptotic purity takes its coupling layout from the run's own

@@ -329,6 +329,14 @@ def test_cross_correlation_hermitian_in_equal_ops():
     assert np.max(np.abs(r - r.T)) < 1e-10
 
 
+def test_cross_correlation_refuses_oversized_trajectory():
+    model = ki.build_memory_model(6, 2, (0, 3), 0.02, (0.9, 0.9, 0))
+    psi = ki.initial_state(model, qstate.ghz_state(2), qdeco.rng(11))
+    longest = ki.MAX_CORRELATION_AMPLITUDES // model.dim
+    with pytest.raises(ResourceLimitError):  # refused before any allocation
+        ki.cross_correlation(model, psi, 0, 1, [0, longest])
+
+
 def test_floquet_spectrum_unitary_phases():
     model, _ = ki.build_env_config("e", 4, 0.1, (1.4, 1.4, 0), (1.4, 1.4, 0))
     phases = ki.floquet_spectrum(model)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -102,19 +104,44 @@ def test_evolve_eigenvector_stays_put():
          delta=(0.0, 0.0, 0.0)),
 ])
 def test_propagator_matches_dense_evolution(cfg_kw):
-    spec = rm.ModelSpec(ensemble="GOE", **cfg_kw)
-    prop = rm.Propagator(spec, qdeco.rng(11))
-    h, _ = rm.build_hamiltonian(spec, qdeco.rng(11))
-    central = (qstate.ghz_state(spec.num_qubits) if spec.num_qubits > 1
-               else np.array([0.6, 0.8], dtype=complex))
-    psi0 = rm.initial_state(spec, central, qdeco.rng(12))
-    times = np.array([0.0, 0.4, 1.3])
-    assert np.max(np.abs(prop.states(psi0, times)
-                         - rm.evolve(h, psi0, times))) < 1e-11
-    # GOE couplings and eigenbases stay real
-    _, couplings = rm.draw_realization(spec, qdeco.rng(11))
-    assert all(np.isrealobj(v) for v in couplings)
-    assert all(np.isrealobj(block.q) for block in prop.blocks)
+    # the spectator case has a nonzero spectator splitting: a phase-only axis
+    for ensemble in ("GOE", "GUE"):
+        spec = rm.ModelSpec(ensemble=ensemble, **cfg_kw)
+        prop = rm.Propagator(spec, qdeco.rng(11))
+        h, _ = rm.build_hamiltonian(spec, qdeco.rng(11))
+        g = qdeco.rng(12)
+        psi0s = np.array([rm.initial_state(spec, qstate.random_state(
+            1 << spec.num_qubits, g), g) for _ in range(3)])
+        times = np.linspace(0.0, 6.0, 41)
+        got = prop.states(psi0s, times)
+        want = np.stack([rm.evolve(h, psi0, times) for psi0 in psi0s], axis=1)
+        assert got.shape == (41, 3, spec.total_dim)
+        assert np.max(np.abs(got - want)) < 1e-11, ensemble
+        singles = np.stack([prop.states(psi0, times) for psi0 in psi0s], axis=1)
+        assert np.max(np.abs(got - singles)) < 1e-14, ensemble
+        # GOE couplings and eigenbases stay real
+        _, couplings = rm.draw_realization(spec, qdeco.rng(11))
+        real = ensemble == "GOE"
+        assert all(np.isrealobj(v) == real for v in couplings)
+        assert all(np.isrealobj(block.q) == real for block in prop.blocks)
+
+
+@pytest.mark.parametrize("ensemble", ["GOE", "GUE"])
+def test_propagator_transient_memory(ensemble):
+    # slices of times keep one call's transient allocation near the output
+    spec = rm.ModelSpec("spectator", 64, ensemble, 0.05, (0.8, 0.6))
+    g = qdeco.rng(13)
+    prop = rm.Propagator(spec, g)
+    psi0s = np.array([rm.initial_state(spec, qstate.ghz_state(2), g)
+                      for _ in range(15)])
+    times = np.linspace(0.0, 2 * spec.nominal_tau_h(), 41)
+    tracemalloc.start()
+    try:
+        states = prop.states(psi0s, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * states.nbytes
 
 
 @pytest.mark.parametrize("spec", [
