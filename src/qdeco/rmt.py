@@ -64,18 +64,19 @@ def sample_gaussian(sigma, x0, gen, size=None):
 
 
 def sample_matrix(spec: EnsembleSpec, gen) -> np.ndarray:
-    """Random member of the ensemble, Hermitian by construction."""
+    """Random member of the ensemble, Hermitian by construction: the stream of
+    ``sample_gaussian`` on the diagonal, then on a full (n, n) grid whose
+    strictly upper entries alone go through the polar transform."""
     n = spec.dim
-    if spec.kind == "GUE":
-        diag = sample_gaussian(1.0, 0.0, gen, n).real
-        off = sample_gaussian(1.0 / np.sqrt(2.0), 0.0, gen, (n, n))
-    else:
-        diag = sample_gaussian(np.sqrt(2.0), 0.0, gen, n).real
-        off = sample_gaussian(1.0, 0.0, gen, (n, n)).real
+    goe = spec.kind == "GOE"
+    diag = sample_gaussian(np.sqrt(2.0) if goe else 1.0, 0.0, gen, n).real
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    r = np.sqrt(-2.0 * np.log(1.0 - gen.random((n, n))[upper]))
+    phase = 2.0 * np.pi * gen.random((n, n))[upper]
+    off = np.cos(phase) * r if goe else 1.0 / np.sqrt(2.0) * np.exp(1j * phase) * r
     m = np.zeros((n, n), dtype=off.dtype)
-    iu = np.triu_indices(n, k=1)
-    m[iu] = off[iu]
-    m = m + m.conj().T
+    m[upper] = off
+    m.T[upper] = off.conj()
     m[np.diag_indices(n)] = diag
     return m
 

@@ -33,6 +33,41 @@ def test_ensemble_spec_validation():
     assert rmt.EnsembleSpec("GOE", 4).beta == 1
 
 
+def full_draw_sample_matrix(spec, gen):
+    """The draw by its definition: a full complex Gaussian matrix of which
+    the strictly upper triangle is kept."""
+    n = spec.dim
+    if spec.kind == "GUE":
+        diag = rmt.sample_gaussian(1.0, 0.0, gen, n).real
+        off = rmt.sample_gaussian(1.0 / np.sqrt(2.0), 0.0, gen, (n, n))
+    else:
+        diag = rmt.sample_gaussian(np.sqrt(2.0), 0.0, gen, n).real
+        off = rmt.sample_gaussian(1.0, 0.0, gen, (n, n)).real
+    m = np.zeros((n, n), dtype=off.dtype)
+    iu = np.triu_indices(n, k=1)
+    m[iu] = off[iu]
+    m = m + m.conj().T
+    m[np.diag_indices(n)] = diag
+    return m
+
+
+@pytest.mark.parametrize("kind, dtype", [("GOE", np.float64), ("GUE", np.complex128)])
+@pytest.mark.parametrize("n", [2, 3, 17, 256])
+def test_sample_matrix_equals_full_draw(kind, dtype, n):
+    # the random stream is pinned: any change to it fails here
+    spec = rmt.EnsembleSpec(kind, n)
+    for seed in (0, 41):
+        got = rmt.sample_matrix(spec, qdeco.rng(seed))
+        want = full_draw_sample_matrix(spec, qdeco.rng(seed))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    # and the generator is left where the full draw leaves it
+    g1, g2 = qdeco.rng(7), qdeco.rng(7)
+    rmt.sample_matrix(spec, g1)
+    full_draw_sample_matrix(spec, g2)
+    assert g1.random() == g2.random()
+
+
 def test_gue_second_moments():
     g = qdeco.rng(3)
     off, diag = [], []

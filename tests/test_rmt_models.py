@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdeco
 from qdeco import metrics, qstate
@@ -17,6 +19,14 @@ def small_spec(**kw):
                 coupling=0.1, delta=(0.5, 0.0))
     base.update(kw)
     return rm.ModelSpec(**base)
+
+
+def run_trajectory(spec, params, times, gen):
+    """One realization, one initial condition: the unbatched reference that
+    ``monte_carlo`` must reproduce."""
+    prop = rm.Propagator(spec, gen)
+    psi0 = rm.initial_state(spec, rm.central_state(spec, params), gen)
+    return rm._measure(spec, prop.states(psi0, times), times)
 
 
 def test_spec_validation():
@@ -102,6 +112,12 @@ def test_evolve_eigenvector_stays_put():
     dict(configuration="joint", n_env=7, coupling=(0.2, 0.1), delta=(0.5, 0.9)),
     dict(configuration="n-qubit", n_env=5, n_qubits=3, coupling=0.15,
          delta=(0.0, 0.0, 0.0)),
+    # blocks above LAPACK's divide-and-conquer cutoff (25 rows), where evd
+    # takes a different route from evr
+    dict(configuration="one-qubit", n_env=40, coupling=0.3, delta=0.6),
+    dict(configuration="spectator", n_env=36, coupling=0.3, delta=(0.6, 1.1)),
+    dict(configuration="separate", n_env=(14, 16), coupling=(0.3, 0.2),
+         delta=(0.5, 0.9)),
 ])
 def test_propagator_matches_dense_evolution(cfg_kw):
     # the spectator case has a nonzero spectator splitting: a phase-only axis
@@ -124,6 +140,29 @@ def test_propagator_matches_dense_evolution(cfg_kw):
         real = ensemble == "GOE"
         assert all(np.isrealobj(v) == real for v in couplings)
         assert all(np.isrealobj(block.q) == real for block in prop.blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(configuration=st.sampled_from(["one-qubit", "spectator", "separate",
+                                      "joint", "n-qubit"]),
+       ensemble=st.sampled_from(["GOE", "GUE"]),
+       n_env=st.integers(2, 12),
+       coupling=st.floats(0.0, 2.0),
+       delta=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=12))
+def test_propagator_keeps_norms(configuration, ensemble, n_env, coupling, delta,
+                                seed, times):
+    n_qubits = 3 if configuration == "n-qubit" else None
+    spec = rm.ModelSpec(configuration, n_env, ensemble, coupling, delta,
+                        n_qubits=n_qubits)
+    g = qdeco.rng(seed)
+    prop = rm.Propagator(spec, g)
+    psi0s = np.array([rm.initial_state(spec, qstate.random_state(
+        1 << spec.num_qubits, g), g) for _ in range(3)])
+    norms = np.linalg.norm(prop.states(psi0s, times), axis=-1)
+    assert norms.shape == (len(times), 3)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("ensemble", ["GOE", "GUE"])
@@ -177,7 +216,7 @@ def test_run_trajectory_contracts():
     spec = small_spec(n_env=16, coupling=0.05, delta=(0.0, 0.0))
     params = lr.InitParams(theta=0.4, phi=0.3)
     times = np.linspace(0.0, 3.0, 7)
-    tr = rm.run_trajectory(spec, params, times, qdeco.rng(7))
+    tr = run_trajectory(spec, params, times, qdeco.rng(7))
     assert abs(tr.purity[0] - 1.0) < 1e-10
     assert abs(tr.concurrence[0] - np.sin(2 * 0.4)) < 1e-10
     assert tr.entropy[0] < 1e-8
@@ -185,8 +224,8 @@ def test_run_trajectory_contracts():
 
 def test_lambda_zero_keeps_purity():
     spec = small_spec(coupling=0.0, n_env=12)
-    tr = rm.run_trajectory(spec, lr.InitParams(theta=0.3, phi=0.1),
-                           np.linspace(0, 5, 6), qdeco.rng(8))
+    tr = run_trajectory(spec, lr.InitParams(theta=0.3, phi=0.1),
+                        np.linspace(0, 5, 6), qdeco.rng(8))
     assert np.max(np.abs(tr.purity - 1.0)) < 1e-10
 
 
@@ -212,7 +251,7 @@ def test_monte_carlo_single_realization_equals_trajectory():
     params = lr.InitParams(theta=0.2, phi=0.5)
     times = np.linspace(0.0, 2.0, 5)
     seed_child = qdeco.rng(21).spawn(1)[0]
-    single = rm.run_trajectory(spec, params, times, seed_child)
+    single = run_trajectory(spec, params, times, seed_child)
     avg = rm.monte_carlo(spec, params, times, 1, 1, qdeco.rng(21))
     assert np.max(np.abs(avg.purity - single.purity)) < 1e-12
     assert avg.n_realizations == 1
