@@ -109,6 +109,14 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; choices: {EXPERIMENT_KINDS}")
         if self.threads < 1 or self.n_times < 2:
             raise ConfigError("threads must be >= 1 and n_times >= 2")
+        for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("bin_width", "t_max_over_tauh"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if not (self.delta and self.n_env_list):
+            raise ConfigError("delta and n_env_list need at least one value")
 
 
 _SECTIONS = {
@@ -451,6 +459,9 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
     tau = env.tau_h_estimate
     lo, hi = _fit_window(cfg, (10.0, min(tau / 10.0, float(cfg.steps))))
     win = (t >= lo) & (t <= hi)
+    if win.sum() < 3:
+        raise ConfigError(f"fit window [{lo:g}, {hi:g}] holds {win.sum()} sampled "
+                          "steps; the fits need at least 3")
     shape = 1.0 - lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau,
                                       alpha=1.0, include_b2=False)
     om = 1 - p
@@ -531,6 +542,8 @@ def _ki_spectrum_model(cfg: ExperimentConfig, chaotic: bool):
 def _run_spectral_stats(cfg: ExperimentConfig, gen):
     summary: dict = {"source": cfg.source}
     if cfg.source in ("gue", "goe"):
+        if cfg.rmt_draws < 2:
+            raise ConfigError("the form factor's spread needs rmt_draws >= 2")
         spec = rmt.EnsembleSpec(cfg.source.upper(), cfg.rmt_dim)
         unfolded, clamped = [], 0
         for _ in range(cfg.rmt_draws):

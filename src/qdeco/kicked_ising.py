@@ -17,7 +17,7 @@ rotated back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -28,7 +28,6 @@ from .trajectory import Trajectory, measure
 
 MAX_SPINS = 20  # one state vector of 2^20 amplitudes is 16 MiB
 MAX_SPECTRUM_SPINS = 12
-MAX_CORRELATION_AMPLITUDES = 1 << 26  # stored trajectory of 1 GiB
 
 # Reference kick fields, in (parallel, transverse, transverse) components.
 FIELD_PRESETS = {
@@ -55,10 +54,10 @@ class KIModel:
 
     couplings[j, k] is symmetric with zero diagonal; fields[j] is the
     Cartesian kick vector of site j; coupling_pairs lists the (site, site)
-    entries that couple the central system to its bath (used to build the
-    uncoupled reference evolution).  The period is built on first use and
-    kept on the instance; derive changed models with ``dataclasses.replace``
-    rather than editing the arrays in place.
+    entries that couple the central system to its bath (``memory-sumrule``
+    builds its one-coupling variants from them).  The period is built on
+    first use and kept on the instance; derive changed models with
+    ``dataclasses.replace`` rather than editing the arrays in place.
     """
 
     num_spins: int
@@ -103,13 +102,6 @@ class KIModel:
     @cached_property
     def _period(self) -> "_Period":
         return _Period(self)
-
-    def uncoupled(self) -> "KIModel":
-        """Same model with the central-bath coupling entries removed."""
-        j = self.couplings.copy()
-        for a, b in self.coupling_pairs:
-            j[a, b] = j[b, a] = 0.0
-        return replace(self, couplings=j)
 
 
 @dataclass(frozen=True)
@@ -173,28 +165,6 @@ def floquet_step(psi, model: KIModel):
     if out is not psi:
         psi[...] = out
     return psi
-
-
-def apply_kick(psi, site: int, b_cartesian):
-    """Kick one site in place; |b| = 0 is the identity."""
-    L = qstate.num_qubits_of(psi)
-    fields = np.zeros((L, 3))
-    fields[site] = b_cartesian
-    return floquet_step(psi, KIModel(L, np.zeros((L, L)), fields))
-
-
-def apply_ising_phase(psi, j: int, k: int, strength: float, axis: str = "z"):
-    """Two-site Ising phase exp(-i strength A_j A_k), A the axis Pauli, in
-    place: along z that multiplies e^{-iJ} where bits agree and e^{+iJ}
-    where they differ."""
-    if j == k:
-        raise ConfigError("Ising phase needs two distinct sites")
-    if strength == 0.0:
-        return psi
-    L = qstate.num_qubits_of(psi)
-    couplings = np.zeros((L, L))
-    couplings[j, k] = couplings[k, j] = strength
-    return floquet_step(psi, KIModel(L, couplings, np.zeros((L, 3)), axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -352,53 +322,6 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     if back is not None:
         rhos = back @ rhos @ back
     return measure(sampled, rhos, pos)
-
-
-def cross_correlation(model: KIModel, psi0, i: int, j: int, taus):
-    """Re <psi0| V~_i(tau) V~_j(tau') |psi0> on the grid taus x taus, with
-    V_i the i-th central-bath coupling operator (unit strength) taken to the
-    interaction picture of the uncoupled period map.  Runs in the Ising-axis
-    basis, where each V_i is a +-1 sign vector."""
-    taus = [int(t) for t in taus]
-    if taus != sorted(taus) or taus[0] < 0:
-        raise ConfigError("tau grid must be sorted and nonnegative")
-    pairs = model.coupling_pairs
-    if not (0 <= i < len(pairs) and 0 <= j < len(pairs)):
-        raise ConfigError("coupling indices out of range")
-    if (taus[-1] + 1) * model.dim > MAX_CORRELATION_AMPLITUDES:
-        raise ResourceLimitError(
-            f"correlation trajectory of {taus[-1] + 1} periods x {model.dim} "
-            f"amplitudes exceeds {MAX_CORRELATION_AMPLITUDES}")
-    period = model.uncoupled()._period
-    buf = np.empty(model.dim, dtype=complex)
-    phis = np.empty((taus[-1] + 1, model.dim), dtype=complex)
-    phis[0], _ = period.rotate(np.array(psi0, dtype=complex), buf)
-    for t in range(1, len(phis)):
-        phis[t], _ = period.step(phis[t - 1].copy(), buf)
-
-    def lower_triangle(op_a, op_b):
-        """R[a, b] = <phi_a| V_a U0^(a-b) V_b |phi_b> for a >= b."""
-        bra = phis[taus] * _kernels.pair_signs(model.num_spins, *op_a)
-        kets = phis[taus] * _kernels.pair_signs(model.num_spins, *op_b)
-        r = np.zeros((len(taus), len(taus)), dtype=complex)
-        for bi, tb in enumerate(taus):
-            ket, spare = kets[bi], buf
-            cur = tb
-            for ai in range(bi, len(taus)):
-                ta = taus[ai]
-                while cur < ta:
-                    ket, spare = period.step(ket, spare)
-                    cur += 1
-                r[ai, bi] = bra[ai].conj() @ ket
-        return r
-
-    lo = lower_triangle(pairs[i], pairs[j])
-    if i == j:
-        full = lo + np.tril(lo, -1).conj().T
-    else:
-        hi = lower_triangle(pairs[j], pairs[i])
-        full = lo + np.tril(hi, -1).conj().T
-    return full.real
 
 
 def floquet_matrix(model: KIModel) -> np.ndarray:

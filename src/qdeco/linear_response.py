@@ -16,7 +16,7 @@ Bloch equator, eta equals the equator angle gamma).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -149,13 +149,6 @@ def initial_qubit_density(params: InitParams) -> np.ndarray:
     a, b = schmidt_pair(params.phi, params.eta)
     ct2, st2 = np.cos(params.theta) ** 2, np.sin(params.theta) ** 2
     return ct2 * np.outer(a, a.conj()) + st2 * np.outer(b, b.conj())
-
-
-def theta_for_purity(p: float) -> float:
-    """Schmidt angle whose reduced single-qubit purity is p."""
-    if not 0.5 - 1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError("single-qubit purity must lie in [1/2, 1]")
-    return float(np.arccos(np.clip(4.0 * p - 3.0, -1.0, 1.0)) / 4.0)
 
 
 # ---------------------------------------------------------------------------

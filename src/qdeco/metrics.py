@@ -155,18 +155,6 @@ def werner_curve_c0(p, c0: float):
     return _value(np.clip(c0 * (1.5 * root - 0.5), 0.0, None))
 
 
-def werner_curve_both(p, c0: float):
-    """Concurrence-purity relation when both qubits are depolarized with
-    similar strength; reduces to the Werner curve at c0 = 1."""
-    if not -1e-12 <= c0 <= 1 + 1e-12:
-        raise ValueError("initial concurrence must lie in [0, 1]")
-    p = np.asarray(p, dtype=float)
-    disc = 1.0 - (1.0 + c0 * c0) * (3.0 - 6.0 * p - c0 * c0)
-    root = np.sqrt(disc.astype(complex))
-    c = (c0 - 1.0) / 3.0 + (1.0 + 2.0 * c0) / 3.0 * ((-1.0 + root) / (1.0 + c0 * c0)).real
-    return _value(np.clip(c, 0.0, None))
-
-
 def werner_deviation_estimate(coupling: float, n_env: int) -> float:
     """Empirical size of the deviation of an accumulated concurrence-purity
     curve from the Werner curve, at unit level splitting: a finite-size term
@@ -210,20 +198,17 @@ class CPCurve:
 
 def bin_cp_samples(purities, concurrences, bin_width: float = 0.005) -> CPCurve:
     """Average (concurrence, purity) samples on a purity grid of the given
-    bin width."""
+    bin width, anchored at P = 1: bin k holds 1 - (k+1) w < P <= 1 - k w,
+    and bin 0 also takes purities above 1, so states that are pure up to
+    rounding share one bin."""
     p = np.asarray(purities, dtype=float).ravel()
     c = np.asarray(concurrences, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("no samples to bin")
-    idx = np.floor(p / bin_width).astype(int)
-    order = np.argsort(idx)
-    idx, p, c = idx[order], p[order], c[order]
-    uniq, start = np.unique(idx, return_index=True)
-    counts = np.diff(np.append(start, len(idx)))
-    p_mean = np.add.reduceat(p, start) / counts
-    c_mean = np.add.reduceat(c, start) / counts
-    sel = slice(None, None, -1)  # descending purity
-    return CPCurve(p_mean[sel], c_mean[sel], counts[sel], bin_width)
+    idx = np.floor((1.0 - p) / bin_width).clip(0).astype(int)
+    _, bins, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    return CPCurve(np.bincount(bins, p) / counts, np.bincount(bins, c) / counts,
+                   counts, bin_width)
 
 
 def cp_distance(curve: CPCurve, reference) -> float:

@@ -45,12 +45,6 @@ def split_index(mu: int, num_qubits: int, mask: int):
     return int(i_a[mu]), int(i_b[mu])
 
 
-def merge_index(i_a: int, i_b: int, num_qubits: int, mask: int) -> int:
-    """Inverse of :func:`split_index`."""
-    d_b = 1 << (num_qubits - int(mask).bit_count())
-    return int(_gather_order(num_qubits, mask)[i_a * d_b + i_b])
-
-
 @lru_cache(maxsize=256)
 def _subsystem_maps(num_qubits: int, mask: int):
     """Vectorized split_index: arrays i_a[mu], i_b[mu] for all mu."""
@@ -145,18 +139,6 @@ def _check_range(name, value, lo, hi):
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def qubit_state(phi: float) -> np.ndarray:
-    """cos(phi)|0> + sin(phi)|1>."""
-    _check_range("phi", phi, 0.0, np.pi / 2)
-    return np.array([np.cos(phi), np.sin(phi)], dtype=complex)
-
-
-def qubit_state_equatorial(gamma: float) -> np.ndarray:
-    """(|0> + e^{i gamma}|1>)/sqrt(2)."""
-    _check_range("gamma", gamma, -np.pi / 2, np.pi / 2)
-    return np.array([1.0, np.exp(1j * gamma)], dtype=complex) / np.sqrt(2)
-
-
 def two_qubit_pair(theta: float, phi: float) -> np.ndarray:
     """Two-qubit state with Schmidt angle theta and magnetization angle phi:
 
@@ -171,20 +153,6 @@ def two_qubit_pair(theta: float, phi: float) -> np.ndarray:
     cp, sp = np.cos(phi), np.sin(phi)
     # index mu = (qubit0) + 2*(qubit1)
     return np.array([ct * cp, ct * sp, st * sp, -st * cp], dtype=complex)
-
-
-def two_qubit_pair_equatorial(theta: float, gamma: float) -> np.ndarray:
-    """Two-qubit state whose coupled-qubit Schmidt vectors sit on the Bloch
-    equator with phase gamma:
-
-        [cos(theta) (|0> + e^{i gamma}|1>) |0>
-       + sin(theta) (|0> - e^{i gamma}|1>) |1>] / sqrt(2)
-    """
-    _check_range("theta", theta, 0.0, np.pi / 4)
-    _check_range("gamma", gamma, -np.pi / 2, np.pi / 2)
-    ct, st = np.cos(theta), np.sin(theta)
-    ph = np.exp(1j * gamma)
-    return np.array([ct, ct * ph, st, -st * ph], dtype=complex) / np.sqrt(2)
 
 
 def schmidt_pair(phi: float, eta: float):
@@ -220,47 +188,3 @@ def ghz_state(n: int) -> np.ndarray:
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return psi
 
-
-def w_state(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("W needs at least 2 qubits")
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[[1 << j for j in range(n)]] = 1 / np.sqrt(n)
-    return psi
-
-
-_CANONICAL = {
-    "qubit": lambda p: qubit_state(p["phi"]),
-    "qubit-equatorial": lambda p: qubit_state_equatorial(p["gamma"]),
-    "pair": lambda p: two_qubit_pair(p["theta"], p["phi"]),
-    "pair-equatorial": lambda p: two_qubit_pair_equatorial(p["theta"], p["gamma"]),
-    "pair-general": lambda p: two_qubit_pair_general(
-        p["theta"], p["phi1"], p["eta1"], p.get("phi2", 0.0), p.get("eta2", 0.0)),
-    "ghz": lambda p: ghz_state(p["n"]),
-    "w": lambda p: w_state(p["n"]),
-}
-
-
-def canonical_state(kind: str, **params) -> np.ndarray:
-    """Dispatch to the named family of initial states."""
-    try:
-        builder = _CANONICAL[kind]
-    except KeyError:
-        raise ValueError(f"unknown state kind {kind!r}; choices: {sorted(_CANONICAL)}")
-    return builder(params)
-
-
-def validate_state(psi, atol: float = 1e-10) -> None:
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > atol:
-        raise ValueError(f"state norm {nrm} deviates from 1 by more than {atol}")
-
-
-def validate_density_matrix(rho, atol: float = 1e-10) -> None:
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"trace {tr} deviates from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValueError("matrix is not Hermitian to 1e-12")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -atol:
-        raise ValueError("matrix has an eigenvalue below -1e-10")

@@ -8,11 +8,13 @@ convention an N-dim spectrum fills the semicircle of radius 2 sqrt(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize, special
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -24,28 +26,11 @@ class EnsembleSpec:
         if self.kind not in ("GOE", "GUE"):
             raise ValueError(f"ensemble kind must be GOE or GUE, got {self.kind!r}")
         if self.dim < 2:
-            raise ValueError("ensemble dimension must be at least 2")
+            raise ConfigError("ensemble dimension must be at least 2")
 
     @property
     def beta(self) -> int:
         return 1 if self.kind == "GOE" else 2
-
-
-@dataclass
-class Spectrum:
-    energies: np.ndarray
-    heisenberg_time: float = field(init=False)
-
-    def __post_init__(self):
-        self.energies = np.sort(np.asarray(self.energies, dtype=float))
-        self.heisenberg_time = heisenberg_time(self.energies)
-
-
-def heisenberg_time(energies) -> float:
-    """2 pi over the mean level spacing."""
-    e = np.asarray(energies, dtype=float)
-    spacing = (e.max() - e.min()) / (len(e) - 1)
-    return 2 * np.pi / spacing
 
 
 def sample_gaussian(sigma, x0, gen, size=None):
@@ -208,5 +193,5 @@ def spacing_statistics(unfolded_energies):
         seqs = [seqs]
     spacings = np.concatenate([np.diff(np.sort(np.asarray(e, dtype=float))) for e in seqs])
     if len(spacings) < 50:
-        raise ValueError(f"need at least 50 spacings, got {len(spacings)}")
+        raise ConfigError(f"need at least 50 spacings, got {len(spacings)}")
     return spacings, fit_brody(spacings)

@@ -62,7 +62,6 @@ class ModelSpec:
     delta: float | tuple[float, ...] = 0.0
     n_qubits: int | None = None
     env_spectrum: str = "unfolded"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.configuration not in _ENV_CAPS:
@@ -407,7 +406,7 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     and reused across its initial conditions; environment states (and, when
     ``params_sampler`` is given, the central state) are drawn per initial
     condition.  Deterministic for a fixed generator seed, independent of
-    ``threads``; partial runs combine via ``trajectory.merge_averaged``.
+    ``threads``.
     """
     if n_hamiltonians < 1 or n_initials < 1:
         raise ConfigError("realization counts must be at least 1")

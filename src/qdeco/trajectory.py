@@ -16,9 +16,8 @@ class Trajectory:
     Each series has the time grid as its last axis; leading axes, if any,
     index samples.  ``concurrence`` is None unless the central system is a
     qubit pair; ``offdiag`` tracks the coupled qubit's off-diagonal decay
-    measure.  For ensemble averages ``averaged`` is True, the ``*_std``
-    arrays carry the sample standard deviation, and ``n_realizations`` the
-    count.
+    measure.  For ensemble averages the ``*_std`` arrays carry the sample
+    standard deviation, and ``n_realizations`` the count.
     """
 
     times: np.ndarray
@@ -26,7 +25,6 @@ class Trajectory:
     concurrence: np.ndarray | None = None
     entropy: np.ndarray | None = None
     offdiag: np.ndarray | None = None
-    averaged: bool = False
     n_realizations: int = 1
     purity_std: np.ndarray | None = None
     concurrence_std: np.ndarray | None = None
@@ -66,32 +64,6 @@ def average(trajectories) -> Trajectory:
         return None if x is None else (x.std(axis=0, ddof=1) if n > 1 else 0 * x[0])
 
     mean = [None if x is None else x.mean(axis=0) for x in (p, c, s, d)]
-    return Trajectory(times, *mean, averaged=True, n_realizations=n,
+    return Trajectory(times, *mean, n_realizations=n,
                       purity_std=std(p), concurrence_std=std(c))
 
-
-def merge_averaged(a: Trajectory, b: Trajectory) -> Trajectory:
-    """Combine two averaged trajectories over disjoint realization sets."""
-    if not (a.averaged and b.averaged):
-        raise ValueError("merge needs averaged trajectories")
-    if not np.array_equal(a.times, b.times):
-        raise ValueError("time grids differ")
-    na, nb = a.n_realizations, b.n_realizations
-    n = na + nb
-
-    def pooled(ma, sa, mb, sb):
-        """Mean and ddof=1 standard deviation of the union (Chan et al.)."""
-        if ma is None:
-            return None, None
-        delta = mb - ma
-        m2 = (sa**2 * max(na - 1, 0) + sb**2 * max(nb - 1, 0)
-              + delta**2 * (na * nb / n))
-        return ma + delta * (nb / n), np.sqrt(m2 / (n - 1))
-
-    def mean(ma, mb):
-        return None if ma is None else (ma * na + mb * nb) / n
-
-    p, ps = pooled(a.purity, a.purity_std, b.purity, b.purity_std)
-    c, cs = pooled(a.concurrence, a.concurrence_std, b.concurrence, b.concurrence_std)
-    return Trajectory(a.times, p, c, mean(a.entropy, b.entropy),
-                      mean(a.offdiag, b.offdiag), True, n, ps, cs)

@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,11 +212,21 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert refused.exit_code == 3
     mismatch = runner.invoke(main, ["rmt-decay", "--preset", "fig-kichaos"])
     assert mismatch.exit_code == 2
-    tiny = ["--set", "n_env=8", "--set", "n_hamiltonians=1",
-            "--set", "n_initials=1", "--set", "n_times=3"]
-    for value in ("n_env=abc", "theta=2", "coupling=-0.1"):
-        bad_value = runner.invoke(main, ["rmt-decay", *tiny, "--set", value])
-        assert bad_value.exit_code == 2, (value, bad_value.output)
+    tiny = "n_env=8 n_hamiltonians=1 n_initials=1 n_times=3"
+    cases = [("rmt-decay", f"{tiny} {value}")
+             for value in ("n_env=abc", "theta=2", "coupling=-0.1", "delta=",
+                           "t_max_over_tauh=-1")]
+    cases += [("ki-decay", "stride=0"), ("ki-decay", "steps=-1"),
+              ("ki-decay", "n_realizations=0"), ("unitality", "n_realizations=0"),
+              ("spectral-stats", "rmt_draws=0"),
+              ("spectral-stats", "rmt_dim=20 rmt_draws=1"),
+              ("spectral-stats", "source=ki-chaotic ki_spins=4"),
+              ("rmt-cp", "bin_width=-1"), ("rmt-cp", "bin_width=0"),
+              ("rmt-sigma", "n_env_list="), ("ki-vs-rmt", "steps=5 q_env=4")]
+    for kind, values in cases:
+        args = [arg for value in values.split() for arg in ("--set", value)]
+        bad_value = runner.invoke(main, [kind, *args])
+        assert bad_value.exit_code == 2, (kind, values, bad_value.output)
         assert "configuration error" in bad_value.output
     # the register cap refuses before any 2^L allocation
     too_big = runner.invoke(main, ["ki-decay", "--set", "q_env=40"])

@@ -3,6 +3,8 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdeco
 from qdeco import _kernels, kicked_ising as ki, metrics, qstate
@@ -45,6 +47,23 @@ def dense_kick(b, site, num_spins):
                     site, num_spins)
 
 
+def apply_kick(psi, site, b_cartesian):
+    """Kick one site in place: a period with one field and no couplings."""
+    L = qstate.num_qubits_of(psi)
+    fields = np.zeros((L, 3))
+    fields[site] = b_cartesian
+    return ki.floquet_step(psi, ki.KIModel(L, np.zeros((L, L)), fields))
+
+
+def apply_ising_phase(psi, j, k, strength):
+    """exp(-i strength Z_j Z_k) in place: a period with one coupled pair and
+    no fields (j == k breaks the model's zero diagonal)."""
+    L = qstate.num_qubits_of(psi)
+    couplings = np.zeros((L, L))
+    couplings[j, k] = couplings[k, j] = strength
+    return ki.floquet_step(psi, ki.KIModel(L, couplings, np.zeros((L, 3))))
+
+
 def test_kernels_match_dense_on_basis_states():
     # fused kick runs (bottom, middle and top runs for a run length of two)
     # and the Ising phase vector against dense operators, column by column
@@ -79,27 +98,27 @@ def test_kernels_match_dense_on_basis_states():
 def test_ising_phase_contract():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # |00>: aligned bits pick up e^{-iJ}
-    ki.apply_ising_phase(psi, 0, 1, 0.3)
+    apply_ising_phase(psi, 0, 1, 0.3)
     assert abs(psi[0] - np.exp(-1j * 0.3)) < 1e-14
     psi = qstate.random_state(4, qdeco.rng(0))
-    out = ki.apply_ising_phase(psi.copy(), 0, 1, 0.0)
+    out = apply_ising_phase(psi.copy(), 0, 1, 0.0)
     assert np.array_equal(out, psi)
     with pytest.raises(ConfigError):
-        ki.apply_ising_phase(psi, 1, 1, 0.3)
+        apply_ising_phase(psi, 1, 1, 0.3)
 
 
 def test_kick_conventions():
     # b = (0, 0, pi/2) sends |0> to -i|0>
     psi = np.array([1.0, 0.0], dtype=complex)
-    ki.apply_kick(psi, 0, (0.0, 0.0, np.pi / 2))
+    apply_kick(psi, 0, (0.0, 0.0, np.pi / 2))
     assert abs(psi[0] + 1j) < 1e-14
     # zero field is the identity fast path
     psi = qstate.random_state(8, qdeco.rng(1))
-    assert np.array_equal(ki.apply_kick(psi.copy(), 1, (0, 0, 0)), psi)
+    assert np.array_equal(apply_kick(psi.copy(), 1, (0, 0, 0)), psi)
     # kick then inverse kick
     out = psi.copy()
-    ki.apply_kick(out, 2, (0.3, 0.4, -0.2))
-    ki.apply_kick(out, 2, (-0.3, -0.4, 0.2))
+    apply_kick(out, 2, (0.3, 0.4, -0.2))
+    apply_kick(out, 2, (-0.3, -0.4, 0.2))
     assert np.max(np.abs(out - psi)) < 1e-12
     # matrix matches the dense exponential
     b = np.array([0.5, -1.1, 0.7])
@@ -125,6 +144,22 @@ def test_floquet_step_vs_dense_random_model():
             out = psi.copy()
             assert ki.floquet_step(out, model) is out
             assert np.max(np.abs(out - u @ psi)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_spins=st.integers(2, 8), axis=st.sampled_from(["z", "x"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_floquet_step_keeps_norms_and_batches(num_spins, axis, seed):
+    # a batch of three states steps exactly as the three states one by one
+    g = qdeco.rng(seed)
+    j = np.triu(g.uniform(-2.0, 2.0, (num_spins, num_spins)), 1)
+    model = ki.KIModel(num_spins, j + j.T, g.uniform(-2.0, 2.0, (num_spins, 3)),
+                       axis=axis)
+    batch = np.array([qstate.random_state(model.dim, g) for _ in range(3)])
+    singles = np.array([ki.floquet_step(psi.copy(), model) for psi in batch])
+    ki.floquet_step(batch, model)
+    assert np.max(np.abs(np.linalg.norm(batch, axis=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(batch - singles)) < 1e-14
 
 
 def test_floquet_matrix_matches_stepping():
@@ -301,40 +336,6 @@ def test_sectioned_environment_state_is_product():
     m = env.reshape(16, 16)  # (section B, section A)
     s = np.linalg.svd(m, compute_uv=False)
     assert s[1] < 1e-12  # rank one across the section split
-
-
-def test_cross_correlation_structure():
-    b = (0.9, 0.9, 0.0)
-    taus = range(0, 12)
-    same = ki.build_memory_model(8, 2, (0, 0), 0.01, b)
-    opposite = ki.build_memory_model(8, 2, (0, 4), 0.01, b)
-    g = qdeco.rng(10)
-    psi_same = ki.initial_state(same, qstate.ghz_state(2), g)
-    psi_opp = ki.initial_state(opposite, qstate.ghz_state(2), qdeco.rng(10))
-    auto = ki.cross_correlation(opposite, psi_opp, 0, 0, taus)
-    cross_opp = ki.cross_correlation(opposite, psi_opp, 0, 1, taus)
-    cross_same = ki.cross_correlation(same, psi_same, 0, 1, taus)
-    assert np.all(np.diag(auto) > 0)          # <V^2> = 1 exactly
-    assert np.max(np.abs(np.diag(auto) - 1)) < 1e-10
-    peak = np.max(np.abs(auto))
-    assert np.max(np.abs(cross_opp)) < 0.2 * peak
-    assert np.max(np.abs(cross_same)) > 2 * np.max(np.abs(cross_opp))
-
-
-def test_cross_correlation_hermitian_in_equal_ops():
-    model = ki.build_memory_model(6, 2, (0, 3), 0.02, (0.9, 0.9, 0))
-    psi = ki.initial_state(model, qstate.ghz_state(2), qdeco.rng(11))
-    taus = range(0, 6)
-    r = ki.cross_correlation(model, psi, 0, 0, taus)
-    assert np.max(np.abs(r - r.T)) < 1e-10
-
-
-def test_cross_correlation_refuses_oversized_trajectory():
-    model = ki.build_memory_model(6, 2, (0, 3), 0.02, (0.9, 0.9, 0))
-    psi = ki.initial_state(model, qstate.ghz_state(2), qdeco.rng(11))
-    longest = ki.MAX_CORRELATION_AMPLITUDES // model.dim
-    with pytest.raises(ResourceLimitError):  # refused before any allocation
-        ki.cross_correlation(model, psi, 0, 1, [0, longest])
 
 
 def test_floquet_spectrum_unitary_phases():

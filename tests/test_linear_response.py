@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import qdeco
 from qdeco import linear_response as lr
-from qdeco import rmt
 
 TAU = 6.0
 
@@ -84,13 +82,6 @@ def test_initial_qubit_density_properties():
     assert abs(np.trace(rho) - 1) < 1e-12
     ev = np.sort(np.linalg.eigvalsh(rho))
     assert np.allclose(ev, [np.sin(0.3) ** 2, np.cos(0.3) ** 2], atol=1e-12)
-
-
-def test_theta_for_purity_roundtrip():
-    for p in (0.5, 0.7, 0.93, 1.0):
-        th = lr.theta_for_purity(p)
-        _, gt, _, _ = lr.geometric_factors(lr.InitParams(theta=th))
-        assert abs(gt - p) < 1e-12
 
 
 def test_purity_lr_t0_and_validation():

@@ -127,8 +127,6 @@ def test_werner_family_reduces_at_c0_one():
     p = np.linspace(0.26, 1.0, 200)
     assert np.max(np.abs(metrics.werner_curve_c0(p, 1.0)
                          - metrics.werner_curve(p))) < 1e-12
-    assert np.max(np.abs(metrics.werner_curve_both(p, 1.0)
-                         - metrics.werner_curve(p))) < 1e-12
     assert abs(metrics.werner_curve_c0(1.0, 0.4) - 0.4) < 1e-12
 
 
@@ -181,6 +179,10 @@ def test_cp_curve_binning_and_distance():
     curve2 = metrics.bin_cp_samples(p, metrics.werner_curve(p) + eps, 0.005)
     span = curve2.purity.max() - curve2.purity.min()
     assert abs(metrics.cp_distance(curve2, metrics.werner_curve) - eps * span) < 1e-3
+    # purities that are 1 up to rounding share the top bin
+    top = metrics.bin_cp_samples([1 + 7e-15, 1 - 5e-15, 0.9], [1.0, 1.0, 0.5])
+    assert list(top.counts) == [2, 1]
+    assert abs(top.purity[0] - 1.0) < 1e-14
     with pytest.raises(ValueError):
         metrics.bin_cp_samples([], [])
 

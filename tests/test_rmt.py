@@ -175,14 +175,6 @@ def test_b2_double_integral_goe_vs_grid():
     assert abs(rmt.b2_double_integral(1, t, tau) - brute) < 1e-8
 
 
-def test_heisenberg_time_flat_spectrum():
-    e = np.arange(100, dtype=float)          # unit spacing
-    assert abs(rmt.heisenberg_time(e) - 2 * np.pi) < 1e-12
-    s = rmt.Spectrum(e[::-1])
-    assert np.all(np.diff(s.energies) > 0)
-    assert s.heisenberg_time > 0
-
-
 def test_brody_fit_goe():
     g = qdeco.rng(9)
     spectra = []

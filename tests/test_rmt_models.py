@@ -11,7 +11,6 @@ from qdeco import metrics, qstate
 from qdeco import linear_response as lr
 from qdeco import rmt_models as rm
 from qdeco.errors import ConfigError, ResourceLimitError
-from qdeco.trajectory import merge_averaged
 
 
 def small_spec(**kw):
@@ -267,25 +266,6 @@ def test_monte_carlo_deterministic_and_thread_invariant():
     assert np.array_equal(a.purity, b.purity)
     assert np.array_equal(a.purity, c.purity)
     assert np.array_equal(a.purity_std, c.purity_std)
-
-
-def test_monte_carlo_merge():
-    spec = small_spec(n_env=8)
-    params = lr.InitParams(theta=0.2, phi=0.5)
-    times = np.linspace(0.0, 2.0, 4)
-    parent = qdeco.rng(33)
-    g1, g2 = parent.spawn(2)
-    a = rm.monte_carlo(spec, params, times, 2, 2, g1)
-    b = rm.monte_carlo(spec, params, times, 3, 2, g2)
-    merged = merge_averaged(a, b)
-    # oracle: recompute moments from the raw samples of both halves
-    g1, g2 = qdeco.rng(33).spawn(2)
-    _, s1 = rm.monte_carlo(spec, params, times, 2, 2, g1, collect_samples=True)
-    _, s2 = rm.monte_carlo(spec, params, times, 3, 2, g2, collect_samples=True)
-    allp = np.vstack([s1["purity"], s2["purity"]])
-    assert np.max(np.abs(merged.purity - allp.mean(axis=0))) < 1e-12
-    assert np.max(np.abs(merged.purity_std - allp.std(axis=0, ddof=1))) < 1e-12
-    assert merged.n_realizations == 10
 
 
 def test_spectator_depends_only_on_reduced_state():
