@@ -24,30 +24,15 @@ from .errors import ConfigError
 from .qstate import rng
 from .trajectory import average
 
-EXPERIMENT_KINDS = (
-    "rmt-decay", "rmt-cp", "rmt-sigma", "unitality", "ki-decay", "ki-cp",
-    "ki-vs-rmt", "memory-sumrule", "spectral-stats",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat bag of every knob; the INI sections below group them.
+    """Flat bag of every knob; ``_SECTIONS`` groups them into the sections
+    of a config file.
 
-    [experiment] kind, seed, threads, out
-    [model]      random-matrix model: configuration, ensemble, n_env, n_env2,
-                 coupling, coupling2, delta, delta2, theta, phi, gamma,
-                 env_spectrum, n_hamiltonians, n_initials, p_infinity
-    [times]      t_max_over_tauh, n_times
-    [ki]         ki_kind, q_env, j_prime, j_env, field, field_central, steps,
-                 stride, n_realizations
-    [memory]     ring_spins, memory_qubits, positions, mem_coupling
-    [sweep]      n_env_list, sigma_time_factor
-    [analysis]   bin_width, alpha, fit_window
-    [spectra]    source, rmt_dim, rmt_draws, ki_spins, impurity, k2_points
-
-    ``coupling`` (and ``coupling2``) are in code units: a coupling lambda is
-    lambda sqrt(N)/pi in mean level spacings of an N-level bath.
+    ``coupling`` is in code units: a coupling lambda is lambda sqrt(N)/pi in
+    mean level spacings of an N-level bath.  The separate and joint layouts
+    give both qubits the same coupling, and ``separate`` both baths ``n_env``
+    levels; qubit 1 starts with phi = eta = 0 and has splitting ``delta2``.
     """
 
     kind: str = "rmt-decay"
@@ -58,9 +43,7 @@ class ExperimentConfig:
     configuration: str = "spectator"
     ensemble: str = "GUE"
     n_env: int = 128
-    n_env2: int = 0
     coupling: float = 0.01
-    coupling2: float = -1.0  # < 0 means same as coupling
     delta: tuple[float, ...] = (0.0,)
     delta2: float = 0.0
     theta: float = math.pi / 4
@@ -69,7 +52,6 @@ class ExperimentConfig:
     env_spectrum: str = "unfolded"
     n_hamiltonians: int = 15
     n_initials: int = 15
-    p_infinity: float = math.nan  # nan -> configuration default
     # times
     t_max_over_tauh: float = 2.0
     n_times: int = 41
@@ -79,7 +61,6 @@ class ExperimentConfig:
     j_prime: float = 0.0005
     j_env: float = 1.0
     field: str = "chaotic"
-    field_central: str = ""
     steps: int = 400
     stride: int = 4
     n_realizations: int = 8
@@ -93,14 +74,12 @@ class ExperimentConfig:
     sigma_time_factor: float = 1.3
     # analysis
     bin_width: float = 0.005
-    alpha: float = 0.21
     fit_window: tuple[float, ...] = (float("nan"), float("nan"))
     # spectral statistics
     source: str = "gue"
     rmt_dim: int = 200
     rmt_draws: int = 100
     ki_spins: int = 12
-    impurity: float = 0.95
     k2_points: int = 25
 
     def __post_init__(self):
@@ -121,17 +100,16 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "experiment": ("kind", "seed", "threads", "out"),
-    "model": ("configuration", "ensemble", "n_env", "n_env2", "coupling",
-              "coupling2", "delta", "delta2", "theta", "phi", "gamma",
-              "env_spectrum", "n_hamiltonians", "n_initials", "p_infinity"),
+    "model": ("configuration", "ensemble", "n_env", "coupling", "delta",
+              "delta2", "theta", "phi", "gamma", "env_spectrum",
+              "n_hamiltonians", "n_initials"),
     "times": ("t_max_over_tauh", "n_times"),
-    "ki": ("ki_kind", "q_env", "j_prime", "j_env", "field", "field_central",
-           "steps", "stride", "n_realizations"),
+    "ki": ("ki_kind", "q_env", "j_prime", "j_env", "field", "steps", "stride",
+           "n_realizations"),
     "memory": ("ring_spins", "memory_qubits", "positions", "mem_coupling"),
     "sweep": ("n_env_list", "sigma_time_factor"),
-    "analysis": ("bin_width", "alpha", "fit_window"),
-    "spectra": ("source", "rmt_dim", "rmt_draws", "ki_spins", "impurity",
-                "k2_points"),
+    "analysis": ("bin_width", "fit_window"),
+    "spectra": ("source", "rmt_dim", "rmt_draws", "ki_spins", "k2_points"),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -210,19 +188,6 @@ def _table(columns, *arrays) -> ResultTable:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _couplings(cfg: ExperimentConfig):
-    lam2 = cfg.coupling if cfg.coupling2 < 0 else cfg.coupling2
-    if cfg.configuration in ("separate", "joint"):
-        return (cfg.coupling, lam2)
-    return cfg.coupling
-
-
-def _env_dims(cfg: ExperimentConfig):
-    if cfg.configuration == "separate":
-        return (cfg.n_env, cfg.n_env2 if cfg.n_env2 else cfg.n_env)
-    return cfg.n_env
-
-
 def _init_params(cfg: ExperimentConfig, delta: float) -> lr.InitParams:
     theta = 0.0 if cfg.configuration == "one-qubit" else cfg.theta
     if not math.isnan(cfg.gamma):
@@ -231,12 +196,9 @@ def _init_params(cfg: ExperimentConfig, delta: float) -> lr.InitParams:
 
 
 def _model_spec(cfg: ExperimentConfig, delta: float) -> rm.ModelSpec:
-    if cfg.configuration == "one-qubit":
-        deltas = delta
-    else:
-        deltas = (delta, cfg.delta2)
-    return rm.ModelSpec(cfg.configuration, _env_dims(cfg), cfg.ensemble,
-                        _couplings(cfg), deltas, env_spectrum=cfg.env_spectrum)
+    deltas = delta if cfg.configuration == "one-qubit" else (delta, cfg.delta2)
+    return rm.ModelSpec(cfg.configuration, cfg.n_env, cfg.ensemble,
+                        cfg.coupling, deltas, env_spectrum=cfg.env_spectrum)
 
 
 def _lr_config(cfg: ExperimentConfig, spec: rm.ModelSpec) -> lr.LRConfig:
@@ -247,20 +209,16 @@ def _lr_config(cfg: ExperimentConfig, spec: rm.ModelSpec) -> lr.LRConfig:
                        spec.couplings, n_env=spec.env_dims[0])
 
 
-def _p_infinity(cfg: ExperimentConfig, lrc: lr.LRConfig,
-                params: lr.InitParams) -> float:
-    if not math.isnan(cfg.p_infinity):
-        return cfg.p_infinity
-    return lr.asymptotic_purity(lrc, params)
-
-
 def _field_triple(name_or_triple: str):
     if name_or_triple in ki.FIELD_PRESETS:
         return ki.FIELD_PRESETS[name_or_triple]
-    parts = [float(x) for x in name_or_triple.split(",")]
+    try:
+        parts = tuple(float(x) for x in name_or_triple.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
         raise ConfigError(f"field {name_or_triple!r}: use a preset name or 'par,t1,t2'")
-    return tuple(parts)
+    return parts
 
 
 def _fit_window(cfg: ExperimentConfig, default):
@@ -270,6 +228,10 @@ def _fit_window(cfg: ExperimentConfig, default):
 
 
 def _linear_slope(t, y):
+    """Least-squares slope, or None when fewer than two distinct abscissae
+    leave it undetermined."""
+    if len(np.unique(t)) < 2:
+        return None
     a = np.vstack([t, np.ones_like(t)]).T
     return float(np.linalg.lstsq(a, y, rcond=None)[0][0])
 
@@ -283,15 +245,18 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
     for delta in cfg.delta:
         spec = _model_spec(cfg, delta)
         params = _init_params(cfg, delta)
+        # qubit 1, for the simulation and the prediction alike
+        params2 = lr.InitParams(theta=params.theta, delta=cfg.delta2)
         tau = spec.nominal_tau_h()
         times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
         avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                             cfg.n_initials, gen, threads=cfg.threads)
+                             cfg.n_initials, gen, params2=params2,
+                             threads=cfg.threads)
         lrc = _lr_config(cfg, spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            p_lr = lr.purity_lr(lrc, params, times)
-        p_inf = _p_infinity(cfg, lrc, params)
+            p_lr = lr.purity_lr(lrc, params, times, params2=params2)
+        p_inf = lr.asymptotic_purity(lrc, params)
         p_elr = lr.exponentiate(p_lr, p_inf)
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,
@@ -345,32 +310,31 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     sizes = [int(n) for n in cfg.n_env_list]
     t_fix = cfg.sigma_time_factor * 2.0 * math.sqrt(max(sizes))
     times = np.array([0.0, t_fix])
+    params = lr.InitParams.equatorial(
+        0.0 if cfg.configuration == "one-qubit" else cfg.theta,
+        0.0 if math.isnan(cfg.gamma) else cfg.gamma, cfg.delta[0])
+
+    def sampler(g):
+        gamma = math.asin(g.uniform(-1.0, 1.0))
+        return lr.InitParams.equatorial(params.theta, gamma, cfg.delta[0])
+
+    specs = [_model_spec(replace(cfg, n_env=n), cfg.delta[0]) for n in sizes]
+    # refuses ensembles, layouts and splittings the formula does not cover
+    # before any Monte Carlo run
+    preds = [lr.sigma_purity(_lr_config(cfg, spec), params, t_fix)
+             for spec in specs]
     rows = []
-    for n in sizes:
-        sub = replace(cfg, n_env=n)
-        spec = _model_spec(sub, cfg.delta[0])
-        params = lr.InitParams.equatorial(
-            0.0 if cfg.configuration == "one-qubit" else cfg.theta,
-            0.0 if math.isnan(cfg.gamma) else cfg.gamma, cfg.delta[0])
+    for n, spec, pred in zip(sizes, specs, preds):
         fixed = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
                                cfg.n_initials, gen, threads=cfg.threads)
-
-        def sampler(g):
-            gamma = math.asin(g.uniform(-1.0, 1.0))
-            return lr.InitParams.equatorial(params.theta, gamma, cfg.delta[0])
-
         random_g = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
                                   cfg.n_initials, gen, threads=cfg.threads,
                                   params_sampler=sampler)
-        pred = lr.sigma_purity(
-            lr.LRConfig.single(cfg.configuration, 1, spec.nominal_tau_h(),
-                               cfg.coupling), params, t_fix)
         rows.append((n, fixed.purity_std[-1], random_g.purity_std[-1], pred))
     arr = np.array(rows)
     table = _table(["n_env", "sigma_fixed_gamma", "sigma_random_gamma",
                     "plateau_prediction"], *arr.T)
-    logs = np.log(arr[:, :2])
-    slope = _linear_slope(np.log(arr[:, 0]), logs[:, 1])
+    slope = _linear_slope(np.log(arr[:, 0]), np.log(arr[:, 1]))
     summary = {
         "t_fixed": t_fix,
         "loglog_slope_fixed_gamma": slope,
@@ -410,10 +374,9 @@ def _ki_trajectories(cfg: ExperimentConfig, gen, model, central):
 
 
 def _build_ki(cfg: ExperimentConfig):
-    b_env = _field_triple(cfg.field)
-    b_cen = _field_triple(cfg.field_central) if cfg.field_central else b_env
-    return ki.build_env_config(cfg.ki_kind, cfg.q_env, cfg.j_prime,
-                               b_cen, b_env, j_env=cfg.j_env)
+    b = _field_triple(cfg.field)
+    return ki.build_env_config(cfg.ki_kind, cfg.q_env, cfg.j_prime, b, b,
+                               j_env=cfg.j_env)
 
 
 def _run_ki_decay(cfg: ExperimentConfig, gen):
@@ -466,8 +429,7 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
                                       alpha=1.0, include_b2=False)
     om = 1 - p
     alpha = float(np.sum(om[win] * shape[win]) / np.sum(shape[win] ** 2))
-    ref = lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau,
-                              alpha=cfg.alpha, include_b2=False)
+    ref = lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau, include_b2=False)
     fit = 1.0 - alpha * shape
     table = _table(["t", "P_mean", "P_std", "rmt_reference", "rmt_fitted"],
                    t, p, avg.purity_std, ref, fit)
@@ -478,7 +440,7 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
     summary = {
         "tau_h_estimate": tau,
         "alpha_fitted": alpha,
-        "alpha_reference": cfg.alpha,
+        "alpha_reference": lr.RMTKI_ALPHA,
         "fit_window": [lo, hi],
         "ssr_linear": ssr_lin,
         "ssr_quadratic": ssr_quad,
@@ -534,8 +496,8 @@ def _ki_spectrum_model(cfg: ExperimentConfig, chaotic: bool):
     b = ki.FIELD_PRESETS["chaotic" if chaotic else "intermediate"]
     fields = np.tile(ki.field_to_cartesian(b, "z"), (spins, 1))
     # two unequal impurity kicks kill translation and reflection symmetry
-    fields[0] *= cfg.impurity
-    fields[1] *= 2.0 - cfg.impurity
+    fields[0] *= 0.95
+    fields[1] *= 1.05
     return ki.KIModel(spins, j, fields, axis="z", central_sites=(0, 1))
 
 
@@ -556,8 +518,8 @@ def _run_spectral_stats(cfg: ExperimentConfig, gen):
         mean_bulk = float(np.mean(np.concatenate(bulk)))
         tau = 2.0 * math.pi  # unfolded spectra have unit mean spacing
         tgrid = np.linspace(0.08, 2.0, cfg.k2_points) * tau
-        k2 = np.mean([rmt.form_factor(u, tgrid) for u in unfolded], axis=0)
-        k2_std = np.std([rmt.form_factor(u, tgrid) for u in unfolded], axis=0, ddof=1)
+        k2s = np.array([rmt.form_factor(u, tgrid) for u in unfolded])
+        k2, k2_std = np.mean(k2s, axis=0), np.std(k2s, axis=0, ddof=1)
         theory = rmt.k2_average(spec.beta, tgrid, tau)
         table = _table(["t_over_tauh", "K2_mean", "K2_std", "K2_theory"],
                        tgrid / tau, k2, k2_std, theory)
@@ -597,6 +559,7 @@ _RUNNERS = {
     "memory-sumrule": _run_memory_sumrule,
     "spectral-stats": _run_spectral_stats,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig):

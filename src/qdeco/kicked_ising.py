@@ -106,11 +106,8 @@ class KIModel:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Bath wiring summary: raw and normalized couplings plus the sector-
+    """Bath wiring summary: the normalized coupling and the sector-
     aware Heisenberg-time estimate of the environment spectrum."""
-    kind: str
-    q_env: int
-    j_prime: float
     j_normalized: float
     tau_h_estimate: float
 
@@ -235,7 +232,7 @@ def build_env_config(kind: str, q_env: int, j_prime: float, b_central,
         fields[e] = field_to_cartesian(b_env, axis)
     model = KIModel(L, j, fields, axis=axis, central_sites=(0, 1),
                     coupling_pairs=tuple(cpl), env_sections=sections)
-    return model, EnvConfig(kind, q_env, j_prime, float(norm), float(tau))
+    return model, EnvConfig(float(norm), float(tau))
 
 
 def build_memory_model(env_spins: int, n_memory: int, positions, coupling: float,

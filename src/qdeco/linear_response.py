@@ -68,6 +68,16 @@ class InitParams:
         return float((1.0 - g_phi) * (1.0 - np.cos(2.0 * self.eta)))
 
 
+def second_qubit(params: InitParams, params2: InitParams | None) -> InitParams:
+    """Qubit 1 of a two-qubit center: ``params2``, or by default an unsplit
+    qubit with phi = eta = 0 sharing the pair's theta."""
+    if params2 is None:
+        return InitParams(theta=params.theta)
+    if abs(params2.theta - params.theta) > 1e-12:
+        raise ValueError("both qubits belong to one pair: theta must match")
+    return params2
+
+
 @dataclass(frozen=True)
 class LRConfig:
     """Coupling layout: which configuration, ensemble(s), Heisenberg time(s),
@@ -194,10 +204,7 @@ def _coupling_contribution(beta, tau_h, lam, params, times, points_per_tauh):
 
 def _per_coupling_params(config, params, params2):
     if config.configuration in ("separate", "joint"):
-        p2 = params2 if params2 is not None else params
-        if abs(p2.theta - params.theta) > 1e-12:
-            raise ValueError("both couplings see the same pair: theta must match")
-        return [params, p2]
+        return [params, second_qubit(params, params2)]
     return [params]
 
 
@@ -264,7 +271,7 @@ def _regime(delta: float, tau_h: float) -> str:
         return "degenerate"
     if x >= FAST_MIN:
         return "fast"
-    raise ValueError(
+    raise ConfigError(
         f"Delta*tau_H = {x:.3g} violates both the degenerate bound "
         f"(<= {DEGENERATE_MAX}) and the fast bound (>= {FAST_MIN})"
     )
@@ -323,17 +330,16 @@ def sigma_purity(config: LRConfig, params: InitParams, t):
     allowed family: (4/(3 sqrt 5)) lambda^2 t^2, damped by cos^2(2 theta)
     when a spectator carries part of the state."""
     if config.beta[0] != 1:
-        raise ValueError("the purity spread is derived for GOE coupling")
-    _regime(params.delta, config.tau_h[0])
-    if abs(params.delta) * config.tau_h[0] > DEGENERATE_MAX:
-        raise ValueError("the purity spread is derived in the degenerate limit")
+        raise ConfigError("the purity spread is derived for GOE coupling")
+    if _regime(params.delta, config.tau_h[0]) != "degenerate":
+        raise ConfigError("the purity spread is derived in the degenerate limit")
     t = np.asarray(t, dtype=float)
     lam = config.couplings[0]
     base = 4.0 / (3.0 * np.sqrt(5.0)) * lam**2 * t**2
     if config.configuration == "spectator":
         base = base * np.cos(2.0 * params.theta) ** 2
     elif config.configuration != "one-qubit":
-        raise ValueError("purity spread: one-qubit or spectator only")
+        raise ConfigError("purity spread: one-qubit or spectator only")
     return base if base.ndim else float(base)
 
 
@@ -404,13 +410,15 @@ def nqubit_sum_rule(spectator_purities):
     return out
 
 
+RMTKI_ALPHA = 0.21  # reference fit of rmtki_prediction's prefactor
+
+
 def rmtki_prediction(t, j_prime: float, q_env: int, tau_h: float,
-                     alpha: float = 0.21, include_b2: bool = True):
+                     alpha: float = RMTKI_ALPHA, include_b2: bool = True):
     """Random-matrix purity-decay form adapted to a kicked spin-bath ring
-    with symmetric coupling of raw strength j_prime to q_env spins;
-    alpha = 0.21 is the reference fit.  ``include_b2=False`` drops the
-    spectral-correlation term (appropriate when many symmetry sectors
-    superpose)."""
+    with symmetric coupling of raw strength j_prime to q_env spins.
+    ``include_b2=False`` drops the spectral-correlation term (appropriate
+    when many symmetry sectors superpose)."""
     t = np.asarray(t, dtype=float)
     shape = 3.0 * t * tau_h + 4.0 * t**2 / tau_h
     if include_b2:

@@ -3,8 +3,9 @@
 Subsystem layout: the state of n central qubits coupled to one or two
 environments is a tensor with axes (q_{n-1}, ..., q_0, env_0[, env_1]) in C
 order, so the flattened central index is the little-endian qubit index and a
-product state is a plain Kronecker product.  Qubit 0 is always a coupled
-qubit; in the spectator configuration qubit 1 is the uncoupled spectator.
+product state is a plain Kronecker product.  Coupling i acts on qubit i, so
+the coupled qubits come first; in the spectator configuration qubit 1 is the
+uncoupled spectator.
 
 Environment spectra default to the ensemble's level fluctuations unfolded to
 a flat density with the central mean level spacing (Heisenberg time
@@ -33,13 +34,16 @@ from scipy.linalg.blas import dgemm, zgemm
 
 from . import metrics, qstate
 from .errors import ConfigError, ResourceLimitError
-from .linear_response import InitParams
+from .linear_response import InitParams, second_qubit
 from .rmt import EnsembleSpec, sample_matrix, unfold
 from .trajectory import Trajectory, average, measure
 
 MAX_TOTAL_DIM = 1 << 14
-_ENV_CAPS = {"one-qubit": 2048, "spectator": 2048, "separate": 64, "joint": 512,
-             "n-qubit": 512}
+# configuration: (central qubits, coupled qubits, environments, bath cap);
+# None means the n-qubit layout's n_qubits, every one of them coupled
+_LAYOUTS = {"one-qubit": (1, 1, 1, 2048), "spectator": (2, 1, 1, 2048),
+            "separate": (2, 2, 2, 64), "joint": (2, 2, 1, 512),
+            "n-qubit": (None, None, 1, 512)}
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class ModelSpec:
     """Structure of one decoherence model.
 
     configuration: one-qubit | spectator | separate | joint | n-qubit
-    n_env:         environment dimension (pair of dims for separate)
+    n_env:         environment dimension (scalar broadcasts to separate's two)
     ensemble:      "GOE" or "GUE" for both the bath and the coupling
     coupling:      strength per coupled qubit (scalar broadcasts)
     delta:         level splitting per central qubit (coupled ones first)
@@ -64,19 +68,20 @@ class ModelSpec:
     env_spectrum: str = "unfolded"
 
     def __post_init__(self):
-        if self.configuration not in _ENV_CAPS:
+        if self.configuration not in _LAYOUTS:
             raise ConfigError(f"unknown configuration {self.configuration!r}")
         if self.ensemble not in ("GOE", "GUE"):
             raise ConfigError("ensemble must be GOE or GUE")
         if self.env_spectrum not in ("unfolded", "raw"):
             raise ConfigError("env_spectrum must be 'unfolded' or 'raw'")
+        cap = _LAYOUTS[self.configuration][3]
         for n in self.env_dims:
             if n < 2:
                 raise ConfigError("environment dimension must be at least 2")
-            if n > _ENV_CAPS[self.configuration]:
+            if n > cap:
                 raise ResourceLimitError(
                     f"{self.configuration}: environment dimension {n} exceeds "
-                    f"the desk cap {_ENV_CAPS[self.configuration]}"
+                    f"the desk cap {cap}"
                 )
         if self.total_dim > MAX_TOTAL_DIM:
             raise ResourceLimitError(
@@ -90,29 +95,25 @@ class ModelSpec:
 
     @property
     def num_qubits(self) -> int:
-        fixed = {"one-qubit": 1, "spectator": 2, "separate": 2, "joint": 2}
-        if self.configuration in fixed:
-            return fixed[self.configuration]
-        if self.n_qubits is None or self.n_qubits < 1:
+        n = _LAYOUTS[self.configuration][0] or self.n_qubits
+        if n is None or n < 1:
             raise ConfigError("n-qubit configuration needs n_qubits >= 1")
-        return self.n_qubits
+        return n
 
     @property
     def num_coupled(self) -> int:
-        return {"one-qubit": 1, "spectator": 1, "separate": 2,
-                "joint": 2}.get(self.configuration, self.num_qubits)
+        return _LAYOUTS[self.configuration][1] or self.num_qubits
 
     @property
     def env_dims(self) -> tuple[int, ...]:
-        n = self.n_env
+        n, count = self.n_env, _LAYOUTS[self.configuration][2]
         if isinstance(n, (tuple, list)):
             dims = tuple(int(x) for x in n)
         else:
-            dims = (int(n), int(n)) if self.configuration == "separate" else (int(n),)
-        if self.configuration == "separate" and len(dims) != 2:
-            raise ConfigError("separate environments: n_env must give two dims")
-        if self.configuration != "separate" and len(dims) != 1:
-            raise ConfigError("this configuration has a single environment")
+            dims = (int(n),) * count
+        if len(dims) != count:
+            raise ConfigError(
+                f"{self.configuration} takes {count} environment dimension(s)")
         return dims
 
     @property
@@ -139,9 +140,6 @@ class ModelSpec:
     def nominal_tau_h(self, which: int = 0) -> float:
         """Heisenberg time at the spectrum center, 2 sqrt(N_env)."""
         return 2.0 * np.sqrt(self.env_dims[which])
-
-    def qubit_of_coupling(self, i: int) -> int:
-        return 0 if self.configuration in ("one-qubit", "spectator") else i
 
     def env_of_coupling(self, i: int) -> int:
         return i if self.configuration == "separate" else 0
@@ -220,7 +218,7 @@ def _assemble(spec: ModelSpec, env_energies, couplings) -> np.ndarray:
     for i, (lam, v) in enumerate(zip(spec.couplings, couplings)):
         if lam != 0.0:
             _embed_add(h, v, dims,
-                       [_axis_of_qubit(spec, spec.qubit_of_coupling(i)),
+                       [_axis_of_qubit(spec, i),
                         _axis_of_env(spec, spec.env_of_coupling(i))],
                        scale=lam)
     d = int(np.prod(dims))
@@ -285,9 +283,8 @@ class Propagator:
                 _Block(_assemble(spec, env_energies, couplings),
                        range(len(self.dims))))
         else:
-            for i, (lam, v) in enumerate(zip(spec.couplings, couplings)):
-                qubit = spec.qubit_of_coupling(i)
-                env = spec.env_of_coupling(i)
+            for qubit, (lam, v) in enumerate(zip(spec.couplings, couplings)):
+                env = spec.env_of_coupling(qubit)
                 ne = spec.env_dims[env]
                 hb = (np.kron(np.diag(_qubit_energies(spec.deltas[qubit])), np.eye(ne))
                       + np.kron(np.eye(2), np.diag(env_energies[env]))
@@ -360,7 +357,7 @@ def central_state(spec: ModelSpec, params: InitParams,
     if spec.configuration == "one-qubit":
         return qstate.schmidt_pair(params.phi, params.eta)[0]
     if spec.configuration in ("spectator", "separate", "joint"):
-        p2 = params2 if params2 is not None else InitParams(theta=params.theta)
+        p2 = second_qubit(params, params2)
         return qstate.two_qubit_pair_general(params.theta, params.phi, params.eta,
                                              p2.phi, p2.eta)
     return qstate.ghz_state(spec.num_qubits)
@@ -398,7 +395,7 @@ def _map(fn, seeds, threads: int) -> list:
 
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
                 n_initials: int, gen, params2: InitParams | None = None,
-                threads: int = 1, params_sampler=None, central=None,
+                threads: int = 1, params_sampler=None,
                 collect_samples: bool = False):
     """Average over n_hamiltonians x n_initials realizations.
 
@@ -417,12 +414,8 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
         prop = Propagator(spec, g)
         psi0s = np.empty((n_initials, spec.total_dim), dtype=complex)
         for i in range(n_initials):
-            c = central
-            if params_sampler is not None:
-                c = central_state(spec, params_sampler(g), params2)
-            elif c is None:
-                c = central_state(spec, params, params2)
-            psi0s[i] = initial_state(spec, c, g)
+            p = params_sampler(g) if params_sampler is not None else params
+            psi0s[i] = initial_state(spec, central_state(spec, p, params2), g)
         return _measure(spec, prop.states(psi0s, t), t)
 
     batches = _map(one_hamiltonian, seeds, threads)

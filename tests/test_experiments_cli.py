@@ -1,12 +1,14 @@
 import json
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qdeco.experiments as xp
+from qdeco import linear_response as lr
 from qdeco import metrics
 from qdeco.cli import main
 from qdeco.errors import ConfigError
@@ -45,6 +47,36 @@ def test_config_file_roundtrip(tmp_path):
         xp.load_config(bad2)
 
 
+def test_config_sections_cover_every_key_once(tmp_path):
+    keys = [k for section in xp._SECTIONS.values() for k in section]
+    assert sorted(keys) == sorted(f.name for f in fields(xp.ExperimentConfig))
+    assert len(keys) == len(set(keys))
+    cfg = replace(
+        xp.ExperimentConfig(), kind="unitality", seed=8, threads=2, out="elsewhere",
+        configuration="joint", ensemble="GOE", n_env=64, coupling=0.02,
+        delta=(0.1, 0.2), delta2=0.3, theta=0.5, phi=0.6, gamma=0.1,
+        env_spectrum="raw", n_hamiltonians=3, n_initials=4, t_max_over_tauh=1.5,
+        n_times=9, ki_kind="a", q_env=6, j_prime=0.01, j_env=0.7,
+        field="integrable", steps=10, stride=2, n_realizations=3, ring_spins=8,
+        memory_qubits=2, positions=(1.0, 2.0), mem_coupling=0.01,
+        n_env_list=(8.0, 16.0), sigma_time_factor=1.1, bin_width=0.01,
+        fit_window=(1.0, 5.0), source="goe", rmt_dim=50, rmt_draws=10,
+        ki_spins=8, k2_points=10)
+    default = xp.ExperimentConfig()
+    text = ""
+    for section, keys in xp._SECTIONS.items():
+        text += f"[{section}]\n"
+        for key in keys:
+            value = getattr(cfg, key)
+            assert value != getattr(default, key), key
+            if isinstance(value, tuple):
+                value = ", ".join(map(repr, value))
+            text += f"{key} = {value}\n"
+    path = tmp_path / "every-key.ini"
+    path.write_text(text)
+    assert xp.load_config(path) == cfg
+
+
 def test_lambda_zero_purity_column_is_one():
     tables, summary = xp.run(tiny_decay_cfg(coupling=0.0))
     p = tables["rmt-decay"].column("P_mean")
@@ -66,6 +98,22 @@ def test_multi_delta_variants():
     tables, summary = xp.run(tiny_decay_cfg(delta=(0.0, 8.0)))
     assert set(tables) == {"rmt-decay-delta0", "rmt-decay-delta8"}
     assert len(summary["variants"]) == 2
+
+
+def test_second_qubit_prediction_uses_its_own_params():
+    # qubit 1 starts with phi = eta = 0 and splitting delta2, in the
+    # simulation and in the prediction alike
+    cfg = tiny_decay_cfg(configuration="separate", n_env=8, theta=0.3,
+                         delta=(0.5,), delta2=0.0)
+    table = xp.run(cfg)[0]["rmt-decay"]
+    t = table.column("t")
+    tau = 2.0 * math.sqrt(8)
+    lrc = lr.LRConfig("separate", (2, 2), (tau, tau), (0.05, 0.05), n_env=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = lr.purity_lr(lrc, lr.InitParams(theta=0.3, phi=cfg.phi, delta=0.5),
+                            t, params2=lr.InitParams(theta=0.3, delta=0.0))
+    assert np.max(np.abs(table.column("analytic_P") - want)) < 1e-14
 
 
 def test_byte_identical_outputs(tmp_path):
@@ -222,7 +270,13 @@ def test_cli_run_and_exit_codes(tmp_path):
               ("spectral-stats", "rmt_dim=20 rmt_draws=1"),
               ("spectral-stats", "source=ki-chaotic ki_spins=4"),
               ("rmt-cp", "bin_width=-1"), ("rmt-cp", "bin_width=0"),
-              ("rmt-sigma", "n_env_list="), ("ki-vs-rmt", "steps=5 q_env=4")]
+              ("rmt-sigma", "n_env_list="), ("ki-vs-rmt", "steps=5 q_env=4"),
+              ("ki-decay", "field=foo")]
+    # rmt-sigma compares with the GOE formula in the degenerate limit only
+    sigma = "n_hamiltonians=1 n_initials=1"
+    cases += [("rmt-sigma", f"{sigma} n_env_list=16"),
+              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=256 delta=0.01"),
+              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16 delta=1")]
     for kind, values in cases:
         args = [arg for value in values.split() for arg in ("--set", value)]
         bad_value = runner.invoke(main, [kind, *args])
@@ -231,6 +285,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     # the register cap refuses before any 2^L allocation
     too_big = runner.invoke(main, ["ki-decay", "--set", "q_env=40"])
     assert too_big.exit_code == 3, too_big.output
+
+
+@pytest.mark.parametrize("kind, values, key", [
+    ("unitality", "n_env_list=16 n_realizations=2 n_times=3",
+     "loglog_slope_final_time"),
+    ("ki-decay", "steps=1 q_env=4 n_realizations=2", "early_linear_slope"),
+])
+def test_cli_slope_of_one_point_is_null(tmp_path, kind, values, key):
+    args = [arg for value in values.split() for arg in ("--set", value)]
+    res = CliRunner().invoke(main, [kind, "--out", str(tmp_path), *args])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / f"{kind}-summary.json").read_text())
+    assert summary[key] is None
 
 
 def test_cli_summary_keeps_linear_response_warnings(tmp_path):
