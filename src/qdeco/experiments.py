@@ -323,6 +323,9 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     # before any Monte Carlo run
     preds = [lr.sigma_purity(_lr_config(cfg, spec), params, t_fix)
              for spec in specs]
+    if cfg.n_hamiltonians * cfg.n_initials < 2:
+        raise ConfigError("the purity spread needs at least two realizations "
+                          "per bath size (n_hamiltonians x n_initials)")
     rows = []
     for n, spec, pred in zip(sizes, specs, preds):
         fixed = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,

@@ -7,12 +7,13 @@ kick fields are specified relative to that axis as
 (integrable chain) and (1.4, 1.4, 0) a tilted one (chaotic) for either axis
 choice.  Sites are register bits (little-endian).
 
-Each model builds its period once, in the Ising-axis basis, and keeps it:
-the Ising terms commute and are diagonal there, so together they are one
-phase vector, and the kicks are fused into a few Kronecker matrices
-(``_kernels``).  For axis 'x' that basis is the Hadamard-rotated one;
-trajectories stay in it and only the small reduced density matrices are
-rotated back.
+Each model builds its period once, in the Ising-axis basis (the
+Hadamard-rotated one for axis 'x'), and keeps it.  The Ising terms commute
+and are diagonal there.  Each kick splits into a phase layer, a real
+rotation and a second phase layer; the phase layers go into a per-site frame
+and into the one phase vector, so a period is one complex phase multiply
+and a few fused real rotations (``_kernels``).  Trajectories stay in the
+frame, and only the small reduced density matrices are rotated back.
 """
 
 from __future__ import annotations
@@ -126,39 +127,68 @@ def kick_matrix(b_cartesian) -> np.ndarray:
     ])
 
 
+def split_kick(u):
+    """Factor a one-site unitary as ``diag(l) @ r @ diag(c)``: ``r`` a real
+    rotation, ``l`` and ``c`` unit phases (z-y-z Euler angles, Nielsen &
+    Chuang Thm 4.1).  With s = sqrt(det u), u / s = [[A, -B*], [B, A*]];
+    for a, b the phases of A, B, l = s (a, b) and c = (1, conj(a b)) leave
+    r = [[|A|, -|B|], [|B|, |A|]]."""
+    det = complex(np.linalg.det(u))
+    s = np.sqrt(det / abs(det))
+    A, B = u[0, 0] / s, u[1, 0] / s
+    a = A / abs(A) if A else 1.0
+    b = B / abs(B) if B else 1.0
+    norm = np.hypot(abs(A), abs(B))
+    cos, sin = abs(A) / norm, abs(B) / norm
+    r = np.array([[cos, -sin], [sin, cos]])
+    return s * np.array([a, b]), r, np.array([1.0, np.conj(a * b)])
+
+
 class _Period:
-    """One period in the Ising-axis basis: the phase vector, then the fused
-    kicks (conjugated by H for axis 'x').  ``rotation`` maps between the
-    original and the Ising-axis basis; H^{(x)L} is its own inverse."""
+    """One period in a per-site frame of the Ising-axis basis.
+
+    Each kick, conjugated by H for axis 'x', splits as diag(l_j) r_j
+    diag(c_j) (``split_kick``).  With F the per-site frame gates
+    f_j = H diag(l_j) (diag(l_j) for axis 'z'), R the real kicks r_j and P
+    the Ising phases times every site's phases c_j l_j, the period is
+    U = F R P F^dagger, so U^n = F (R P)^n F^dagger.  ``phase`` is P, the one
+    array of the register's length, ``kicks`` the fused real runs of R, and
+    ``enter``/``leave`` the fused runs of F^dagger and F; ``frame`` keeps
+    each site's f_j (``None`` for the identity)."""
 
     def __init__(self, model: KIModel):
-        pairs = model.pairs
-        self.phase = _kernels.ising_phase(model.num_spins, pairs) if pairs else None
-        kicks = [kick_matrix(b) if np.any(b) else None for b in model.fields]
-        self.rotation = []
-        if model.axis == "x":
-            h = _kernels.HADAMARD
-            kicks = [None if u is None else h @ u @ h for u in kicks]
-            self.rotation = _kernels.fuse([h] * model.num_spins)
-        self.kicks = _kernels.fuse(kicks)
+        h = _kernels.HADAMARD if model.axis == "x" else None
+        self.frame, rotations, terms = [], [], []
+        for b in model.fields:
+            u = kick_matrix(b)
+            l, r, c = split_kick(u if h is None else h @ u @ h)
+            rotations.append(None if r[1, 0] == 0.0 else r)
+            identity = h is None and np.all(l == 1.0)
+            self.frame.append(None if identity else
+                              np.diag(l) if h is None else h * l)
+            # a kick has unit determinant, so c_j l_j = exp(-i t_j s_j)
+            ang = np.angle(c * l)
+            terms.append(0.5 * (ang[1] - ang[0]))
+        self.phase = _kernels.ising_phase(model.num_spins, model.pairs, terms)
+        self.kicks = _kernels.fuse(rotations)
+        self.enter = _kernels.fuse([None if f is None else f.conj().T
+                                    for f in self.frame])
+        self.leave = _kernels.fuse(self.frame)
 
     def step(self, psi, spare):
-        """Advance ``psi`` one period; returns ``(result, spare)``."""
-        if self.phase is not None:
-            psi *= self.phase
+        """Advance ``psi`` one period in the frame; returns ``(result,
+        spare)``."""
+        psi *= self.phase
         return _kernels.apply_groups(self.kicks, psi, spare)
-
-    def rotate(self, psi, spare):
-        return _kernels.apply_groups(self.rotation, psi, spare)
 
 
 def floquet_step(psi, model: KIModel):
     """One period in the original basis, in place: all Ising phases, then
     all kicks.  Leading axes of ``psi`` are a batch of states."""
     period = model._period
-    out, spare = period.rotate(psi, np.empty_like(psi))
+    out, spare = _kernels.apply_groups(period.enter, psi, np.empty_like(psi))
     out, spare = period.step(out, spare)
-    out, _ = period.rotate(out, spare)
+    out, _ = _kernels.apply_groups(period.leave, out, spare)
     if out is not psi:
         psi[...] = out
     return psi
@@ -297,12 +327,14 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     the off-diagonal measure follows the first central site.
     """
     period = model._period
-    psi, spare = period.rotate(np.array(psi0, dtype=complex),
-                               np.empty(len(psi0), dtype=complex))
+    psi, spare = _kernels.apply_groups(period.enter,
+                                       np.array(psi0, dtype=complex),
+                                       np.empty(len(psi0), dtype=complex))
     n_c = len(model.central_sites)
-    # the central rotation back to the original basis, H^{(x)n_c}
-    back = (reduce(np.kron, [_kernels.HADAMARD] * n_c) if model.axis == "x"
-            else None)
+    # the central frame gates back to the original basis, highest site first
+    back = reduce(np.kron, [np.eye(2) if period.frame[s] is None
+                            else period.frame[s]
+                            for s in sorted(model.central_sites, reverse=True)])
     # bit of the first central site within the central reduction
     pos = sorted(model.central_sites).index(model.central_sites[0])
     sampled = list(range(0, steps + 1, stride))
@@ -316,8 +348,7 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
         if step == sampled[k]:
             rhos[k] = qstate.partial_trace(psi, model.central_mask)
             k += 1
-    if back is not None:
-        rhos = back @ rhos @ back
+    rhos = back @ rhos @ back.conj().T
     return measure(sampled, rhos, pos)
 
 

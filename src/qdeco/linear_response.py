@@ -26,7 +26,11 @@ from .metrics import werner_curve, werner_curve_c0
 from .qstate import schmidt_pair
 from .rmt import b2, b2_double_integral
 
-CONFIGURATIONS = ("one-qubit", "spectator", "separate", "joint", "n-qubit")
+# configuration: (central qubits, coupled qubits, environments, bath cap);
+# None means the n-qubit layout's n_qubits, every one of them coupled
+LAYOUTS = {"one-qubit": (1, 1, 1, 2048), "spectator": (2, 1, 1, 2048),
+           "separate": (2, 2, 2, 64), "joint": (2, 2, 1, 512),
+           "n-qubit": (None, None, 1, 512)}
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,15 @@ class LRConfig:
     n_env: int | None = None
 
     def __post_init__(self):
-        if self.configuration not in CONFIGURATIONS:
+        if self.configuration not in LAYOUTS:
             raise ConfigError(f"unknown configuration {self.configuration!r}")
         k = len(self.couplings)
         if len(self.beta) != k or len(self.tau_h) != k:
             raise ConfigError("beta, tau_h, couplings must have equal length")
-        expected = {"one-qubit": 1, "spectator": 1, "separate": 2, "joint": 2}
-        if self.configuration in expected and k != expected[self.configuration]:
+        expected = LAYOUTS[self.configuration][1]
+        if expected is not None and k != expected:
             raise ConfigError(
-                f"{self.configuration} takes {expected[self.configuration]} coupling(s), got {k}"
-            )
+                f"{self.configuration} takes {expected} coupling(s), got {k}")
         if self.configuration == "joint" and (
             len(set(self.beta)) != 1 or len(set(self.tau_h)) != 1
         ):

@@ -34,16 +34,11 @@ from scipy.linalg.blas import dgemm, zgemm
 
 from . import metrics, qstate
 from .errors import ConfigError, ResourceLimitError
-from .linear_response import InitParams, second_qubit
+from .linear_response import LAYOUTS, InitParams, second_qubit
 from .rmt import EnsembleSpec, sample_matrix, unfold
 from .trajectory import Trajectory, average, measure
 
 MAX_TOTAL_DIM = 1 << 14
-# configuration: (central qubits, coupled qubits, environments, bath cap);
-# None means the n-qubit layout's n_qubits, every one of them coupled
-_LAYOUTS = {"one-qubit": (1, 1, 1, 2048), "spectator": (2, 1, 1, 2048),
-            "separate": (2, 2, 2, 64), "joint": (2, 2, 1, 512),
-            "n-qubit": (None, None, 1, 512)}
 
 
 @dataclass(frozen=True)
@@ -68,13 +63,13 @@ class ModelSpec:
     env_spectrum: str = "unfolded"
 
     def __post_init__(self):
-        if self.configuration not in _LAYOUTS:
+        if self.configuration not in LAYOUTS:
             raise ConfigError(f"unknown configuration {self.configuration!r}")
         if self.ensemble not in ("GOE", "GUE"):
             raise ConfigError("ensemble must be GOE or GUE")
         if self.env_spectrum not in ("unfolded", "raw"):
             raise ConfigError("env_spectrum must be 'unfolded' or 'raw'")
-        cap = _LAYOUTS[self.configuration][3]
+        cap = LAYOUTS[self.configuration][3]
         for n in self.env_dims:
             if n < 2:
                 raise ConfigError("environment dimension must be at least 2")
@@ -95,18 +90,18 @@ class ModelSpec:
 
     @property
     def num_qubits(self) -> int:
-        n = _LAYOUTS[self.configuration][0] or self.n_qubits
+        n = LAYOUTS[self.configuration][0] or self.n_qubits
         if n is None or n < 1:
             raise ConfigError("n-qubit configuration needs n_qubits >= 1")
         return n
 
     @property
     def num_coupled(self) -> int:
-        return _LAYOUTS[self.configuration][1] or self.num_qubits
+        return LAYOUTS[self.configuration][1] or self.num_qubits
 
     @property
     def env_dims(self) -> tuple[int, ...]:
-        n, count = self.n_env, _LAYOUTS[self.configuration][2]
+        n, count = self.n_env, LAYOUTS[self.configuration][2]
         if isinstance(n, (tuple, list)):
             dims = tuple(int(x) for x in n)
         else:

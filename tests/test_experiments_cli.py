@@ -276,7 +276,9 @@ def test_cli_run_and_exit_codes(tmp_path):
     sigma = "n_hamiltonians=1 n_initials=1"
     cases += [("rmt-sigma", f"{sigma} n_env_list=16"),
               ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=256 delta=0.01"),
-              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16 delta=1")]
+              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16 delta=1"),
+              # a spread of one realization is zero, and its log NaN
+              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16,32")]
     for kind, values in cases:
         args = [arg for value in values.split() for arg in ("--set", value)]
         bad_value = runner.invoke(main, [kind, *args])

@@ -66,7 +66,9 @@ def apply_ising_phase(psi, j, k, strength):
 
 def test_kernels_match_dense_on_basis_states():
     # fused kick runs (bottom, middle and top runs for a run length of two)
-    # and the Ising phase vector against dense operators, column by column
+    # and the Ising phase vector against dense operators, column by column;
+    # the real runs (rotations, Hadamards) also on a batch of complex states,
+    # whose real and imaginary parts they carry as one more bit
     L = 6
     g = qdeco.rng(14)
     fields = g.uniform(-1, 1, (L, 3))
@@ -75,9 +77,16 @@ def test_kernels_match_dense_on_basis_states():
     dense = np.eye(1 << L)
     for j, b in enumerate(fields):
         dense = dense_kick(b, j, L) @ dense
+    rotations = [None if j == 3 else np.array([[np.cos(a), -np.sin(a)],
+                                               [np.sin(a), np.cos(a)]])
+                 for j, a in enumerate(g.uniform(-np.pi, np.pi, L))]
+    rotation = reduce(np.kron, [np.eye(2) if r is None else r
+                                for r in rotations[::-1]])
     hadamard = reduce(np.kron, [_kernels.HADAMARD] * L)
+    batch = np.array([qstate.random_state(1 << L, g) for _ in range(5)])
     for size in (1, 2, 4, 6):
         layers = ((_kernels.fuse(kicks, size), dense),
+                  (_kernels.fuse(rotations, size), rotation),
                   (_kernels.fuse([_kernels.HADAMARD] * L, size), hadamard))
         for groups, want in layers:
             for mu in range(1 << L):
@@ -85,7 +94,12 @@ def test_kernels_match_dense_on_basis_states():
                 psi[mu] = 1.0
                 out, _ = _kernels.apply_groups(groups, psi, np.empty_like(psi))
                 assert np.max(np.abs(out - want[:, mu])) < 1e-12
-    pairs = [(0, 1, 0.7), (1, 3, -0.4), (0, 5, 0.3)]
+            out, _ = _kernels.apply_groups(groups, batch.copy(),
+                                           np.empty_like(batch))
+            assert np.max(np.abs(out - batch @ want.T)) < 1e-12
+        assert all(not np.iscomplexobj(m)
+                   for _, _, m in _kernels.fuse(rotations, size))
+    pairs = [(0, 1, 0.7), (1, 3, -0.4), (0, 5, 0.3), (4, 2, 1.1)]
     phase = _kernels.ising_phase(L, pairs)
     hz = sum(s * one_site(SZ, j, L) @ one_site(SZ, k, L) for j, k, s in pairs)
     hx = sum(s * one_site(SX, j, L) @ one_site(SX, k, L) for j, k, s in pairs)
@@ -93,6 +107,54 @@ def test_kernels_match_dense_on_basis_states():
     assert np.max(np.abs(np.diag(phase) - sla.expm(-1j * hz))) < 1e-12
     assert np.max(np.abs(hadamard @ np.diag(phase) @ hadamard
                          - sla.expm(-1j * hx))) < 1e-12
+    # plus one z term per site, a zero one included
+    terms = g.uniform(-3, 3, L)
+    terms[2] = 0.0
+    hzt = hz + sum(t * one_site(SZ, j, L) for j, t in enumerate(terms))
+    assert np.max(np.abs(_kernels.ising_phase(L, pairs, terms)
+                         - np.diag(sla.expm(-1j * hzt)))) < 1e-12
+
+
+def test_split_kick_reconstructs_with_unit_phases():
+    # u = diag(l) r diag(c) with r a real rotation: a pure z kick (r = 1),
+    # transverse pi/2 kicks (zero diagonal), no kick, a unitary whose
+    # determinant is not 1, Hadamard-conjugated kicks and random fields
+    h = _kernels.HADAMARD
+    g = qdeco.rng(21)
+    flip = np.array([[0.0, -1j], [-1j, 0.0]])  # -i sigma_x, exactly
+    us = [ki.kick_matrix((0.0, 0.0, 0.7)), flip, flip @ np.diag([1j, -1j]),
+          ki.kick_matrix((np.pi / 2, 0.0, 0.0)), ki.kick_matrix((0, 0, 0)),
+          np.diag([1.0, 1j]) @ ki.kick_matrix((0.3, -0.5, 1.2))]
+    us += [ki.kick_matrix(b) for b in g.uniform(-3, 3, (200, 3))]
+    us += [h @ u @ h for u in us]
+    for u in us:
+        l, r, c = ki.split_kick(u)
+        assert not np.iscomplexobj(r)
+        assert np.max(np.abs(r.T @ r - np.eye(2))) < 1e-15
+        assert r[0, 0] == r[1, 1] and r[0, 1] == -r[1, 0]
+        assert np.max(np.abs(np.abs(np.concatenate([l, c])) - 1.0)) < 1e-15
+        assert np.max(np.abs(np.diag(l) @ r @ np.diag(c) - u)) < 1e-14
+    assert np.array_equal(ki.split_kick(us[0])[1], np.eye(2))
+    assert np.array_equal(ki.split_kick(flip)[1], [[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_period_holds_one_register_length_array():
+    # the frame lives in 2x2 gates and fused runs (at most 16 x 16 at
+    # 10 spins); the phase vector is the one array of the register's length
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+
+    for axis in ("z", "x"):
+        model = ki.build_memory_model(8, 2, (0, 4), 0.1, (0.9, 0.9, 0.3),
+                                      axis=axis)
+        period = model._period
+        big = [a for a in arrays(list(vars(period).values()))
+               if a.size >= model.dim]
+        assert len(big) == 1 and big[0] is period.phase
 
 
 def test_ising_phase_contract():
@@ -191,15 +253,22 @@ def _dense_trajectory(model, psi, steps):
 
 
 def test_evolve_ki_matches_dense_stepping():
-    # z-axis wiring (d), an x-axis register, and an x-axis model whose first
-    # central site is not its lowest one (the D_mean qubit moves)
+    # z-axis wiring (d), an x-axis register, an x-axis model whose first
+    # central site is not its lowest one (the D_mean qubit moves), and
+    # models whose central sites have different frames
     g = qdeco.rng(18)
     ring, _ = ki.build_env_config("d", 5, 0.2, (1.4, 1.4, 0), (1.4, 1.4, 0))
     register = ki.build_memory_model(5, 2, (0, 3), 0.2, (0.9, 0.9, 0))
     j = np.triu(g.uniform(-1, 1, (7, 7)), 1)
     mixed = ki.KIModel(7, j + j.T, g.uniform(-1, 1, (7, 3)), axis="x",
                        central_sites=(5, 1, 3))
-    for model in (ring, register, mixed):
+    # kicks with a y component, a zero-field central site and bath site
+    fields = np.tile([0.4, 0.9, -0.6], (6, 1))
+    fields[1] = fields[4] = 0.0
+    j = np.triu(g.uniform(-1, 1, (6, 6)), 1)
+    tilted = [ki.KIModel(6, j + j.T, fields, axis=axis, central_sites=(1, 3))
+              for axis in ("z", "x")]
+    for model in (ring, register, mixed, *tilted):
         central = qstate.random_state(1 << len(model.central_sites), g)
         psi0 = ki.initial_state(model, central, g)
         tr = ki.evolve_ki(model, psi0, 12)

@@ -113,6 +113,20 @@ def test_partial_trace_contiguous_runs_match_gather():
         assert np.max(np.abs(rho - m @ m.conj().T)) < 1e-15
 
 
+def test_partial_trace_large_blocks_exactly_hermitian():
+    # from 2^15 amplitudes the kept block goes through zherk: the top run
+    # (a C-ordered block), the bottom run (F-ordered), a middle run and a
+    # gathered mask, each against m m^dagger and exactly Hermitian
+    g = qdeco.rng(19)
+    psi = qstate.random_state(1 << 16, g)
+    for mask in (0xF000, 0x000F, 0x03C0, 0x8421, 0x0003, 0xC000):
+        m = qstate.subsystem_matrix(psi, mask)
+        assert m.size >= qstate._HERK_MIN
+        rho = qstate.partial_trace(psi, mask)
+        assert np.max(np.abs(rho - m @ m.conj().T)) < 1e-15
+        assert np.array_equal(rho, rho.conj().T)
+
+
 def test_both_reductions_share_purity():
     g = qdeco.rng(13)
     for mask in (0b000111, 0b101010, 0b000001):
