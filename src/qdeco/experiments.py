@@ -454,28 +454,37 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
 
 def _run_memory_sumrule(cfg: ExperimentConfig, gen):
     n = cfg.memory_qubits
-    positions = [int(p) for p in cfg.positions]
     b = _field_triple(cfg.field)
-    full = ki.build_memory_model(cfg.ring_spins, n, positions, cfg.mem_coupling,
+    full = ki.build_memory_model(cfg.ring_spins, n, cfg.positions, cfg.mem_coupling,
                                  b, j_env=cfg.j_env)
-    # every variant starts from the same states, so only the couplings differ
-    psi0s = [ki.initial_state(full, qstate.ghz_state(n), g)
+    positions = [p for _, p in full.coupling_pairs]
+    # every model starts from the same ring states, so only the couplings differ
+    rings = [ki.random_environment_state(full, g)
              for g in gen.spawn(cfg.n_realizations)]
 
-    def averaged(model):
+    def averaged(model, register):
+        psi0s = (qstate.tensor_product(register, ring, model.central_mask)
+                 for ring in rings)
         avg = average([ki.evolve_ki(model, psi0, cfg.steps, cfg.stride)
                        for psi0 in psi0s])
         return avg.times, avg.purity
 
-    t, p_full = averaged(full)
-    spectator_p = []
-    for i in range(n):
-        jm = full.couplings.copy()
-        for k, (a_, b_) in enumerate(full.coupling_pairs):
-            if k != i:
-                jm[a_, b_] = jm[b_, a_] = 0.0
-        t, p_i = averaged(replace(full, couplings=jm))
-        spectator_p.append(p_i)
+    def spectator(p):
+        # Variant i couples register qubit i alone.  The others then feel only
+        # their own kicks, local unitaries that leave the register purity as
+        # it is, and the GHZ state has Schmidt rank 2 across {others | qubit i,
+        # ring}.  So one uncoupled partner qubit stands in for all of them.
+        pair = ki.build_memory_model(cfg.ring_spins, 2, (p, p), cfg.mem_coupling,
+                                     b, j_env=cfg.j_env)
+        jm = pair.couplings.copy()
+        a_, b_ = pair.coupling_pairs[1]
+        jm[a_, b_] = jm[b_, a_] = 0.0
+        return averaged(replace(pair, couplings=jm), qstate.ghz_state(2))[1]
+
+    t, p_full = averaged(full, qstate.ghz_state(n))
+    # one register qubit leaves no others for a partner to stand in for: the
+    # only variant is the full model
+    spectator_p = [p_full] if n == 1 else [spectator(p) for p in positions]
     p_rule = lr.nqubit_sum_rule(spectator_p)
     resid = np.abs((1 - p_full) - (1 - p_rule))
     cols = ["t", "P_full", "P_sumrule", "residual"] + [f"P_sp_{i}" for i in range(n)]

@@ -56,9 +56,10 @@ class KIModel:
     couplings[j, k] is symmetric with zero diagonal; fields[j] is the
     Cartesian kick vector of site j; coupling_pairs lists the (site, site)
     entries that couple the central system to its bath (``memory-sumrule``
-    builds its one-coupling variants from them).  The period is built on
-    first use and kept on the instance; derive changed models with
-    ``dataclasses.replace`` rather than editing the arrays in place.
+    reads its register's ring positions from them and zeroes the coupling of
+    each variant's partner qubit).  The period is built on first use and kept
+    on the instance; derive changed models with ``dataclasses.replace``
+    rather than editing the arrays in place.
     """
 
     num_spins: int
@@ -275,6 +276,8 @@ def build_memory_model(env_spins: int, n_memory: int, positions, coupling: float
     """
     if n_memory < 1:
         raise ConfigError("need at least one register qubit")
+    if not all(float(p).is_integer() for p in positions):
+        raise ConfigError(f"ring positions must be whole site numbers, got {positions}")
     positions = [int(p) for p in positions]
     if len(positions) != n_memory:
         raise ConfigError("one ring position per register qubit")

@@ -8,10 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 import qdeco.experiments as xp
+from qdeco import kicked_ising as ki
 from qdeco import linear_response as lr
-from qdeco import metrics
+from qdeco import metrics, qstate
 from qdeco.cli import main
 from qdeco.errors import ConfigError
+from qdeco.trajectory import average
 
 
 def tiny_decay_cfg(**kw):
@@ -162,6 +164,30 @@ def test_memory_sumrule_variants_share_bath_states():
     assert np.array_equal(table.column("P_sp_0"), table.column("P_full"))
 
 
+@pytest.mark.parametrize("positions", [(0, 2, 4), (1, 1, 1)])
+def test_memory_sumrule_spectators_match_full_register_variants(positions):
+    # the runner runs each one-coupling variant on the ring plus two register
+    # qubits; here it runs on the whole register with the other couplings zeroed
+    cfg = xp.ExperimentConfig(
+        kind="memory-sumrule", ring_spins=6, memory_qubits=3, positions=positions,
+        mem_coupling=0.05, field="chaotic-soft", steps=60, stride=3,
+        n_realizations=2, seed=5)
+    table = xp.run(cfg)[0]["memory-sumrule"]
+    full = ki.build_memory_model(6, 3, positions, 0.05,
+                                 ki.FIELD_PRESETS["chaotic-soft"], axis="x")
+    psi0s = [ki.initial_state(full, qstate.ghz_state(3), g)
+             for g in qstate.rng(5).spawn(2)]
+    for i in range(3):
+        jm = full.couplings.copy()
+        for k, (a, b) in enumerate(full.coupling_pairs):
+            if k != i:
+                jm[a, b] = jm[b, a] = 0.0
+        variant = replace(full, couplings=jm)
+        p_i = average([ki.evolve_ki(variant, psi0, 60, 3) for psi0 in psi0s]).purity
+        assert 1 - p_i[-1] > 1e-3
+        assert np.max(np.abs(table.column(f"P_sp_{i}") - p_i)) < 1e-12
+
+
 def test_spectral_stats_runner_small():
     cfg = xp.ExperimentConfig(kind="spectral-stats", source="gue", rmt_dim=80,
                               rmt_draws=30, k2_points=8, seed=2)
@@ -272,6 +298,10 @@ def test_cli_run_and_exit_codes(tmp_path):
               ("rmt-cp", "bin_width=-1"), ("rmt-cp", "bin_width=0"),
               ("rmt-sigma", "n_env_list="), ("ki-vs-rmt", "steps=5 q_env=4"),
               ("ki-decay", "field=foo")]
+    # a ring position is a site number, never truncated to one
+    one = "memory_qubits=1 ring_spins=6"
+    cases += [("memory-sumrule", f"{one} positions=1.5"),
+              ("memory-sumrule", f"{one} positions=-0.5")]
     # rmt-sigma compares with the GOE formula in the degenerate limit only
     sigma = "n_hamiltonians=1 n_initials=1"
     cases += [("rmt-sigma", f"{sigma} n_env_list=16"),
