@@ -240,6 +240,20 @@ def _linear_slope(t, y):
 # the runners
 # ---------------------------------------------------------------------------
 
+def _concurrence_analytic(cfg: ExperimentConfig, params, p_elr, times):
+    """``rmt-decay``'s analytic_C and sudden-death time: one qubit of a pair
+    at C = sin 2 theta depolarized (spectator), or the Werner curve (Bell
+    pair, both qubits coupled); no curve fits a partly entangled pair there."""
+    if cfg.configuration == "spectator":
+        c0 = math.sin(2.0 * params.theta)
+        return lr.concurrence_prediction(p_elr, "werner-c0", c0=c0, times=times)
+    if params.theta < math.pi / 4 - 1e-12:
+        warnings.warn(f"no concurrence curve for a {cfg.configuration} pair "
+                      "below theta = pi/4; analytic_C is NaN")
+        return np.full_like(times, np.nan), None
+    return lr.concurrence_prediction(p_elr, "werner", times=times)
+
+
 def _run_rmt_decay(cfg: ExperimentConfig, gen):
     tables, summary = {}, {"variants": []}
     for delta in cfg.delta:
@@ -256,18 +270,17 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             p_lr = lr.purity_lr(lrc, params, times, params2=params2)
-        p_inf = lr.asymptotic_purity(lrc, params)
-        p_elr = lr.exponentiate(p_lr, p_inf)
+            p_inf = lr.asymptotic_purity(lrc, params)
+            p_elr = lr.exponentiate(p_lr, p_inf)
+            c_elr, t_star = (_concurrence_analytic(cfg, params, p_elr, times)
+                             if spec.num_qubits == 2 else (None, None))
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,
                   p_lr, p_elr]
-        if spec.num_qubits == 2:
-            c_elr, t_star = lr.concurrence_prediction(p_elr, "werner", times=times)
+        if c_elr is not None:
             cols = cols[:3] + ["C_mean", "C_std"] + cols[3:] + ["analytic_C"]
             arrays = (arrays[:3] + [avg.concurrence, avg.concurrence_std]
                       + arrays[3:] + [c_elr])
-        else:
-            t_star = None
         name = f"rmt-decay-delta{delta:g}" if len(cfg.delta) > 1 else "rmt-decay"
         tables[name] = _table(cols, *arrays)
         summary["variants"].append({
@@ -429,10 +442,10 @@ def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):
         raise ConfigError(f"fit window [{lo:g}, {hi:g}] holds {win.sum()} sampled "
                           "steps; the fits need at least 3")
     shape = 1.0 - lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau,
-                                      alpha=1.0, include_b2=False)
+                                      alpha=1.0)
     om = 1 - p
     alpha = float(np.sum(om[win] * shape[win]) / np.sum(shape[win] ** 2))
-    ref = lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau, include_b2=False)
+    ref = lr.rmtki_prediction(t, cfg.j_prime, cfg.q_env, tau)
     fit = 1.0 - alpha * shape
     table = _table(["t", "P_mean", "P_std", "rmt_reference", "rmt_fitted"],
                    t, p, avg.purity_std, ref, fit)
@@ -483,8 +496,11 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
 
     t, p_full = averaged(full, qstate.ghz_state(n))
     # one register qubit leaves no others for a partner to stand in for: the
-    # only variant is the full model
-    spectator_p = [p_full] if n == 1 else [spectator(p) for p in positions]
+    # only variant is the full model.  Variants at one site are one model
+    # started from the same states, so each site runs once.
+    by_site = ({p: spectator(p) for p in dict.fromkeys(positions)} if n > 1
+               else {positions[0]: p_full})
+    spectator_p = [by_site[p] for p in positions]
     p_rule = lr.nqubit_sum_rule(spectator_p)
     resid = np.abs((1 - p_full) - (1 - p_rule))
     cols = ["t", "P_full", "P_sumrule", "residual"] + [f"P_sp_{i}" for i in range(n)]

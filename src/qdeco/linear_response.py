@@ -23,7 +23,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError
 from .metrics import werner_curve, werner_curve_c0
-from .qstate import schmidt_pair
 from .rmt import b2, b2_double_integral
 
 # configuration: (central qubits, coupled qubits, environments, bath cap);
@@ -139,29 +138,6 @@ def geometric_factors(params: InitParams):
     g1 = g_theta * (1.0 - g_phi) + g_phi * (1.0 - g_theta)
     g2 = 2.0 * (1.0 - g_theta) - g_phi * (1.0 - 2.0 * g_theta)
     return g_phi, g_theta, g1, g2
-
-
-def correlations(params: InitParams, tau):
-    """Correlation functions of the coupled qubit's initial (generally
-    mixed) state: Re C1, the return amplitude S1, and the transposed-state
-    overlap S1' that only matters for time-reversal-invariant couplings."""
-    tau = np.asarray(tau, dtype=float)
-    g_phi, g_theta, _, _ = geometric_factors(params)
-    d = params.delta
-    re_c1 = 1.0 + np.cos(d * tau)
-    base = 1.0 - g_theta - g_phi + 2.0 * g_theta * g_phi
-    amp = (2.0 * g_theta - 1.0) * (1.0 - g_phi)
-    s1 = base + amp * np.cos(d * tau)
-    s1p = base + amp * np.cos(d * tau - 2.0 * params.eta)
-    return re_c1, s1, s1p
-
-
-def initial_qubit_density(params: InitParams) -> np.ndarray:
-    """The coupled qubit's reduced state: Schmidt weights (cos^2 theta,
-    sin^2 theta) on the orthonormal pair defined by (phi, eta)."""
-    a, b = schmidt_pair(params.phi, params.eta)
-    ct2, st2 = np.cos(params.theta) ** 2, np.sin(params.theta) ** 2
-    return ct2 * np.outer(a, a.conj()) + st2 * np.outer(b, b.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +352,13 @@ def exponentiate(p_lr, p_infinity: float):
 def concurrence_prediction(p_of_t, mode: str, c0: float = 1.0, times=None):
     """Concurrence trajectory from a purity trajectory.
 
-    mode "linear": C = P (early-time one-to-one relation, full-range inputs
-    make no sense here); "werner": C from the Werner curve, expects the
-    exponentiated purity; "werner-c0": same for initial concurrence c0.
+    mode "werner": C from the Werner curve, expects the exponentiated
+    purity; "werner-c0": same for initial concurrence c0.
     Returns (C array, sudden-death time or None), the time interpolated
     where C first reaches zero (requires ``times``).
     """
     p = np.asarray(p_of_t, dtype=float)
-    if mode == "linear":
-        c = p.copy()
-    elif mode == "werner":
+    if mode == "werner":
         c = werner_curve(p)
     elif mode == "werner-c0":
         c = werner_curve_c0(p, c0)
@@ -417,14 +390,12 @@ RMTKI_ALPHA = 0.21  # reference fit of rmtki_prediction's prefactor
 
 
 def rmtki_prediction(t, j_prime: float, q_env: int, tau_h: float,
-                     alpha: float = RMTKI_ALPHA, include_b2: bool = True):
+                     alpha: float = RMTKI_ALPHA):
     """Random-matrix purity-decay form adapted to a kicked spin-bath ring
-    with symmetric coupling of raw strength j_prime to q_env spins.
-    ``include_b2=False`` drops the spectral-correlation term (appropriate
-    when many symmetry sectors superpose)."""
+    with symmetric coupling of raw strength j_prime to q_env spins.  It leaves
+    out the spectral-correlation (b2) term, as is appropriate when many
+    symmetry sectors superpose."""
     t = np.asarray(t, dtype=float)
     shape = 3.0 * t * tau_h + 4.0 * t**2 / tau_h
-    if include_b2:
-        shape = shape - 3.0 * b2_double_integral(1, t, tau_h) / tau_h
     out = 1.0 - alpha * (j_prime / np.sqrt(q_env)) ** 2 * shape
     return out if out.ndim else float(out)

@@ -63,15 +63,6 @@ def concurrence(rho):
                           0.0, None))
 
 
-def concurrence_pure(psi) -> float:
-    """Concurrence of a pure two-qubit state, 2|c00 c11 - c01 c10|; equals
-    sin(2 theta) for Schmidt angle theta."""
-    c = np.asarray(psi)
-    if c.shape != (4,):
-        raise ValueError("need a 4-component two-qubit state")
-    return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))
-
-
 def _h(x):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -80,28 +71,11 @@ def _h(x):
     return out
 
 
-def entropy_from_purity(p: float) -> float:
-    """Single-qubit von Neumann entropy as a function of purity,
-    valid for 1/2 <= P <= 1."""
-    if not 0.5 - 1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"single-qubit purity must lie in [1/2, 1], got {p}")
-    r = np.sqrt(max(2.0 * p - 1.0, 0.0))
-    return float(np.sum(_h(np.array([(1 + r) / 2, (1 - r) / 2]))))
-
-
 def von_neumann(rho):
     """-sum lambda log2 lambda over the eigenvalues of rho, of one matrix or
     a stack (..., d, d)."""
     ev = np.linalg.eigvalsh(np.asarray(rho))
     return _value(np.sum(_h(np.clip(ev, 0.0, None)), axis=-1))
-
-
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation from concurrence via the binary entropy."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    x = (1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0
-    return float(np.sum(_h(np.array([x, 1.0 - x]))))
 
 
 def offdiagonal_decay(rho):

@@ -1,4 +1,4 @@
-"""State vectors, density matrices, and bitwise subsystem indexing.
+"""State vectors, density matrices, and qubit subsystems.
 
 States are plain complex arrays of length 2**L over an L-qubit register,
 little-endian: basis index ``mu`` is the ket |i_{L-1} ... i_0> with qubit j
@@ -7,8 +7,6 @@ qubits.  Density matrices are plain complex square arrays.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import zherk
@@ -39,64 +37,21 @@ def validate_mask(mask: int, num_qubits: int) -> None:
         )
 
 
-def split_index(mu: int, num_qubits: int, mask: int):
-    """Pack the bits of ``mu`` selected by ``mask`` (order preserving) into
-    one sub-index and the remaining bits into the complement index.
-
-    The map mu <-> (i_kept, i_rest) is a bijection.
-    """
-    i_a, i_b = _subsystem_maps(num_qubits, mask)
-    if not 0 <= mu < (1 << num_qubits):
-        raise ValueError(f"index {mu} outside register of {num_qubits} qubits")
-    return int(i_a[mu]), int(i_b[mu])
-
-
-@lru_cache(maxsize=256)
-def _subsystem_maps(num_qubits: int, mask: int):
-    """Vectorized split_index: arrays i_a[mu], i_b[mu] for all mu."""
-    validate_mask(mask, num_qubits)
-    mu = np.arange(1 << num_qubits, dtype=np.int64)
-    i_a = np.zeros_like(mu)
-    i_b = np.zeros_like(mu)
-    pos_a = pos_b = 0
-    for j in range(num_qubits):
-        bit = (mu >> j) & 1
-        if (mask >> j) & 1:
-            i_a |= bit << pos_a
-            pos_a += 1
-        else:
-            i_b |= bit << pos_b
-            pos_b += 1
-    return i_a, i_b
-
-
-@lru_cache(maxsize=256)
-def _gather_order(num_qubits: int, mask: int):
-    """Permutation g with psi[g].reshape(dA, dB)[i_a, i_b] == psi[mu]."""
-    i_a, i_b = _subsystem_maps(num_qubits, mask)
-    k = int(mask).bit_count()
-    d_b = 1 << (num_qubits - k)
-    flat = i_a * d_b + i_b
-    order = np.empty_like(flat)
-    order[flat] = np.arange(flat.shape[0], dtype=np.int64)
-    return order
+def _axes(num_qubits: int, mask: int):
+    """Axes of a state's ``(2,)*L`` view, whose axis a holds qubit L-1-a:
+    the masked qubits first, then the rest, each from the highest bit down."""
+    return sorted(range(num_qubits), key=lambda a: not mask >> (num_qubits - 1 - a) & 1)
 
 
 def subsystem_matrix(psi, mask: int):
-    """Reshape ``psi`` into a (kept x rest) coefficient matrix.  A kept run
-    of adjacent bits lo..lo+k-1 is read through a ``(rest above, kept, rest
-    below)`` view, a copy-free one when the run is at the top or bottom of
-    the register; other masks gather through a permutation index."""
+    """(kept x rest) coefficient matrix: entry [i_a, i_b] is the amplitude
+    whose masked bits, in order, spell i_a and whose other bits spell i_b.
+    A view where numpy can give one, as for a run at the top or bottom."""
     L = num_qubits_of(psi)
     mask = int(mask)
     validate_mask(mask, L)
-    k = mask.bit_count()
-    lo = (mask & -mask).bit_length() - 1
-    if mask and (mask >> lo) == (1 << k) - 1:
-        v = np.asarray(psi).reshape(-1, 1 << k, 1 << lo)
-        return v.transpose(1, 0, 2).reshape(1 << k, -1)
-    order = _gather_order(L, mask)
-    return np.asarray(psi)[order].reshape(1 << k, 1 << (L - k))
+    v = np.asarray(psi).reshape((2,) * L).transpose(_axes(L, mask))
+    return v.reshape(1 << mask.bit_count(), -1)
 
 
 def tensor_product(a, b, mask: int):
@@ -109,8 +64,8 @@ def tensor_product(a, b, mask: int):
         raise ValueError(
             f"mask selects {int(mask).bit_count()} qubits but first factor has {la}"
         )
-    i_a, i_b = _subsystem_maps(L, int(mask))
-    return np.asarray(a)[i_a] * np.asarray(b)[i_b]
+    out = np.multiply.outer(np.asarray(a), np.asarray(b)).reshape((2,) * L)
+    return out.transpose(np.argsort(_axes(L, int(mask)))).ravel()
 
 
 def partial_trace(psi, keep: int):
@@ -129,14 +84,6 @@ def partial_trace(psi, keep: int):
     else:  # the transpose is F-ordered: m^T^dagger m^T = conj(m m^dagger)
         rho = zherk(1.0, m.T, trans=2).conj()
     return rho + np.triu(rho, 1).conj().T
-
-
-def schmidt_decompose(psi, mask: int):
-    """Schmidt coefficients (descending, sum of squares 1) and the paired
-    orthonormal bases of the masked subsystem and its complement."""
-    m = subsystem_matrix(psi, mask)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return s, u.T, vh
 
 
 def random_state(dim: int, gen) -> np.ndarray:

@@ -66,14 +66,6 @@ def sample_matrix(spec: EnsembleSpec, gen) -> np.ndarray:
     return m
 
 
-def semicircle_density(energy, dim: int):
-    """Level density of the Gaussian ensembles, support |E| <= 2 sqrt(N)."""
-    e = np.asarray(energy, dtype=float)
-    x = 1.0 - e * e / (4.0 * dim)
-    rho = np.sqrt(dim) / np.pi * np.sqrt(np.clip(x, 0.0, None))
-    return rho if rho.ndim else float(rho)
-
-
 class Unfolded(NamedTuple):
     energies: np.ndarray
     clamped: np.ndarray  # True where the input sat past the semicircle edge
@@ -158,14 +150,6 @@ def b2_double_integral(beta: int, t, tau_h: float):
     else:
         raise ValueError("beta must be 1 or 2")
     return out if np.ndim(t) else float(out[0])
-
-
-def brody_pdf(s, omega: float):
-    """Spacing density interpolating Poisson (omega=0) and the orthogonal
-    Wigner surmise (omega=1)."""
-    s = np.asarray(s, dtype=float)
-    b = special.gamma((omega + 2.0) / (omega + 1.0)) ** (omega + 1.0)
-    return (omega + 1.0) * b * s**omega * np.exp(-b * s ** (omega + 1.0))
 
 
 def fit_brody(spacings) -> float:

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,25 @@ def test_multi_delta_variants():
     assert len(summary["variants"]) == 2
 
 
+@pytest.mark.parametrize("configuration", ["spectator", "joint"])
+def test_analytic_concurrence_starts_at_pair_concurrence(configuration):
+    # a pair at theta = 0.3 starts at C = sin 0.6: the spectator curve starts
+    # there; no curve applies when both qubits of such a pair are coupled
+    cfg = tiny_decay_cfg(configuration=configuration, n_env=32, theta=0.3,
+                         seed=5)
+    tables, summary = xp.run(cfg)
+    table, variant = tables["rmt-decay"], summary["variants"][0]
+    assert abs(table.column("C_mean")[0] - math.sin(0.6)) < 1e-12
+    c = table.column("analytic_C")
+    if configuration == "spectator":
+        assert abs(c[0] - math.sin(0.6)) < 1e-12
+        assert not any("analytic_C" in w for w in variant["lr_warnings"])
+    else:
+        assert np.all(np.isnan(c))
+        assert variant["sudden_death_time"] is None
+        assert any("analytic_C is NaN" in w for w in variant["lr_warnings"])
+
+
 def test_second_qubit_prediction_uses_its_own_params():
     # qubit 1 starts with phi = eta = 0 and splitting delta2, in the
     # simulation and in the prediction alike
@@ -118,17 +141,73 @@ def test_second_qubit_prediction_uses_its_own_params():
     assert np.max(np.abs(table.column("analytic_P") - want)) < 1e-14
 
 
+# one tiny config of each runner kind
+TINY = {
+    "rmt-decay": dict(configuration="spectator", n_env=12, coupling=0.05,
+                      n_hamiltonians=2, n_initials=2, n_times=5),
+    "rmt-cp": dict(configuration="spectator", n_env=16, coupling=0.1,
+                   n_hamiltonians=2, n_initials=2, n_times=6),
+    "rmt-sigma": dict(configuration="one-qubit", ensemble="GOE", coupling=1e-3,
+                      gamma=0.0, n_env_list=(8, 16), n_hamiltonians=2,
+                      n_initials=2),
+    "unitality": dict(configuration="one-qubit", coupling=0.1,
+                      n_env_list=(8, 16), n_realizations=2, n_times=3),
+    "ki-decay": dict(ki_kind="e", q_env=4, j_prime=0.05, steps=12, stride=2,
+                     n_realizations=2),
+    "ki-cp": dict(ki_kind="e", q_env=4, j_prime=0.05, steps=30, stride=2,
+                  n_realizations=2),
+    "ki-vs-rmt": dict(ki_kind="d", q_env=6, j_prime=0.005, steps=16, stride=2,
+                      n_realizations=2, fit_window=(2.0, 12.0)),
+    "memory-sumrule": dict(ring_spins=6, memory_qubits=3, positions=(0, 2, 2),
+                           mem_coupling=0.05, field="chaotic-soft", steps=20,
+                           stride=5, n_realizations=2),
+    "spectral-stats": dict(source="gue", rmt_dim=40, rmt_draws=4, k2_points=5),
+}
+
+
+def outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def test_byte_identical_outputs(tmp_path):
-    cfg = tiny_decay_cfg(out=str(tmp_path / "a"))
-    xp.write_outputs(cfg, *xp.run(cfg))
-    cfg2 = replace(cfg, out=str(tmp_path / "b"), threads=2)
-    xp.write_outputs(cfg2, *xp.run(cfg2))
-    a = (tmp_path / "a" / "rmt-decay.csv").read_bytes()
-    b = (tmp_path / "b" / "rmt-decay.csv").read_bytes()
-    assert a == b
-    sa = (tmp_path / "a" / "rmt-decay-summary.json").read_bytes()
-    sb = (tmp_path / "b" / "rmt-decay-summary.json").read_bytes()
-    assert sa == sb
+    # every CSV and the summary of each kind, byte for byte, whatever --threads
+    for kind, kw in TINY.items():
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / kind / str(threads)
+            cfg = xp.ExperimentConfig(kind=kind, seed=3, threads=threads,
+                                      out=str(out), **kw)
+            xp.write_outputs(cfg, *xp.run(cfg))
+            runs.append(outputs(out))
+        assert f"{kind}-summary.json" in runs[0]
+        assert runs[0] == runs[1], kind
+
+
+def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
+    # The kicked-Ising time evolutions match byte for byte across BLAS thread
+    # counts.  Left out on purpose: the random-matrix kinds (LAPACK's
+    # eigenvectors change with the thread count) and spectral-stats with a
+    # kicked-ring source (so do zgeev's eigenvalues).
+    kinds = ["ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule"]
+    script = (
+        "import ast, sys\n"
+        "import qdeco.experiments as xp\n"
+        "for kind, kw in ast.literal_eval(sys.argv[2]).items():\n"
+        "    cfg = xp.ExperimentConfig(kind=kind, seed=3, out=sys.argv[1], **kw)\n"
+        "    xp.write_outputs(cfg, *xp.run(cfg))\n")
+    src = str(Path(xp.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", script, str(out),
+                        repr({k: TINY[k] for k in kinds})],
+                       env=env, check=True)
+        runs.append(outputs(out))
+    assert len(runs[0]) == 2 * len(kinds)
+    assert runs[0] == runs[1]
 
 
 def test_csv_serialization_precision(tmp_path):
@@ -150,6 +229,27 @@ def test_memory_sumrule_runner():
     assert "P_sp_0" in cols and "P_sp_1" in cols
     resid = tables["memory-sumrule"].column("residual")
     assert np.all(resid >= 0)
+
+
+def test_memory_sumrule_runs_each_site_once(monkeypatch):
+    # three register qubits at one site: the full model plus one variant
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[0].num_spins)
+        return evolve_ki(*args, **kw)
+
+    evolve_ki = ki.evolve_ki
+    monkeypatch.setattr(ki, "evolve_ki", counted)
+    cfg = xp.ExperimentConfig(
+        kind="memory-sumrule", ring_spins=6, memory_qubits=3, positions=(1, 1, 1),
+        mem_coupling=0.05, field="chaotic-soft", steps=20, stride=5,
+        n_realizations=1, seed=5)
+    table = xp.run(cfg)[0]["memory-sumrule"]
+    assert calls == [9, 8]
+    assert 1 - table.column("P_sp_0")[-1] > 1e-4
+    for i in (1, 2):
+        assert np.array_equal(table.column(f"P_sp_{i}"), table.column("P_sp_0"))
 
 
 def test_memory_sumrule_variants_share_bath_states():

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from qdeco import linear_response as lr
+from qdeco import qstate
+from qdeco import rmt_models as rm
 
 TAU = 6.0
 
@@ -49,36 +51,62 @@ def test_geometric_factor_monotone_in_theta():
         assert np.all(np.diff(g2s) >= -1e-12)
 
 
+def dense_correlations(params, taus):
+    """Re C1, S1 and S1' of the coupled qubit, from its initial state (the
+    Schmidt weights on the (phi, eta) pair) evolved densely."""
+    a, b = qstate.schmidt_pair(params.phi, params.eta)
+    rho1 = (np.cos(params.theta) ** 2 * np.outer(a, a.conj())
+            + np.sin(params.theta) ** 2 * np.outer(b, b.conj()))
+    h1 = np.diag([params.delta / 2, -params.delta / 2])
+    out = []
+    for t in taus:
+        u = sla.expm(-1j * h1 * t)
+        rt = u @ rho1 @ u.conj().T
+        c1 = sum(np.exp(-1j * (h1[m, m] - h1[i, i]) * t) * rho1[i, i].real
+                 for i in range(2) for m in range(2))
+        out.append((c1.real, np.trace(rt @ rho1).real, np.trace(rt @ rho1.T).real))
+    return np.array(out).T
+
+
+def kernel_weights(params, taus):
+    """What the purity kernel integrates, from the geometric factors:
+    g1 + g2 cos(Delta tau) = Re C1 - S1, and for time-reversal-invariant
+    couplings g1 - (1 - g2) cos(Delta tau - 2 eta) = 1 - S1'."""
+    _, _, g1, g2 = lr.geometric_factors(params)
+    d = params.delta
+    return (g1 + g2 * np.cos(d * taus),
+            g1 - (1 - g2) * np.cos(d * taus - 2 * params.eta))
+
+
 def test_correlations_eigenstate_and_bell():
     tau = np.linspace(0, 7, 30)
-    _, s1, _ = lr.correlations(lr.InitParams(theta=0.0, phi=0.0, delta=1.3), tau)
+    eigen = lr.InitParams(theta=0.0, phi=0.0, delta=1.3)
+    re_c1, s1, _ = dense_correlations(eigen, tau)
     assert np.allclose(s1, 1.0)
+    assert np.allclose(kernel_weights(eigen, tau)[0], re_c1 - 1.0)
     # Bell pair with degenerate splitting: 1 - S1' is gamma independent = 1/2
     for gamma in (-0.8, 0.0, 0.4, 1.2):
         p = lr.InitParams.equatorial(np.pi / 4, gamma, 0.0)
-        _, _, s1p = lr.correlations(p, tau)
+        _, _, s1p = dense_correlations(p, tau)
         assert np.allclose(1 - s1p, 0.5)
+        assert np.allclose(kernel_weights(p, tau)[1], 0.5)
 
 
 def test_correlations_vs_dense_qubit():
     params = lr.InitParams(theta=0.31, phi=0.52, eta=0.83, delta=1.7)
-    rho1 = lr.initial_qubit_density(params)
-    h1 = np.diag([params.delta / 2, -params.delta / 2])
     taus = np.linspace(0.0, 9.0, 31)
-    re_c1, s1, s1p = lr.correlations(params, taus)
-    for k, t in enumerate(taus):
-        u = sla.expm(-1j * h1 * t)
-        rt = u @ rho1 @ u.conj().T
-        assert abs(np.trace(rt @ rho1).real - s1[k]) < 1e-10
-        assert abs(np.trace(rt @ rho1.T).real - s1p[k]) < 1e-10
-        c1 = sum(np.exp(-1j * (h1[m, m] - h1[i, i]) * t) * rho1[i, i].real
-                 for i in range(2) for m in range(2))
-        assert abs(c1.real - re_c1[k]) < 1e-10
+    re_c1, s1, s1p = dense_correlations(params, taus)
+    weights, weights_tri = kernel_weights(params, taus)
+    assert np.max(np.abs(re_c1 - s1 - weights)) < 1e-10
+    assert np.max(np.abs(1 - s1p - weights_tri)) < 1e-10
 
 
 def test_initial_qubit_density_properties():
+    # the coupled qubit of the pair a run starts from: unit trace and Schmidt
+    # weights sin^2 theta, cos^2 theta
     p = lr.InitParams(theta=0.3, phi=0.7, eta=1.1)
-    rho = lr.initial_qubit_density(p)
+    spec = rm.ModelSpec("spectator", 8)
+    rho = qstate.partial_trace(rm.central_state(spec, p), 0b01)
     assert abs(np.trace(rho) - 1) < 1e-12
     ev = np.sort(np.linalg.eigvalsh(rho))
     assert np.allclose(ev, [np.sin(0.3) ** 2, np.cos(0.3) ** 2], atol=1e-12)
@@ -239,10 +267,9 @@ def test_concurrence_prediction_modes():
     c0_curve, t0 = lr.concurrence_prediction(ones, "werner-c0", c0=0.6, times=times)
     assert np.allclose(c0_curve, 0.6)
     assert t0 is None
-    lin, _ = lr.concurrence_prediction(p, "linear")
-    assert np.array_equal(lin, p)
-    with pytest.raises(ValueError):
-        lr.concurrence_prediction(p, "nope")
+    for mode in ("linear", "nope"):
+        with pytest.raises(ValueError):
+            lr.concurrence_prediction(p, mode)
 
 
 def test_nqubit_sum_rule():
@@ -266,13 +293,13 @@ def test_nqubit_lr_matches_composed_formula():
 def test_rmtki_prediction():
     assert lr.rmtki_prediction(0.0, 5e-4, 12, 300.0) == 1.0
     t = np.linspace(0.0, 3.0, 7)
-    full = lr.rmtki_prediction(t, 5e-4, 12, 300.0, alpha=0.21)
-    bare = lr.rmtki_prediction(t, 5e-4, 12, 300.0, alpha=0.21, include_b2=False)
-    assert np.all(1 - bare >= 1 - full - 1e-15)
+    out = lr.rmtki_prediction(t, 5e-4, 12, 300.0, alpha=0.21)
+    # 1 - P = alpha (J'/sqrt q)^2 (3 t tau + 4 t^2 / tau): no b2 term
+    expect = 0.21 * (5e-4 / np.sqrt(12)) ** 2 * (3 * t * 300.0 + 4 * t**2 / 300.0)
+    assert np.max(np.abs((1 - out) - expect)) < 1e-15
     # leading small-t slope of the uncorrelated form: 3 alpha tau (J'/sqrt q)^2
     eps = 1e-4
-    slope = (1 - lr.rmtki_prediction(eps, 5e-4, 12, 300.0, alpha=0.21,
-                                     include_b2=False)) / eps
+    slope = (1 - lr.rmtki_prediction(eps, 5e-4, 12, 300.0, alpha=0.21)) / eps
     expect = 3 * 0.21 * 300.0 * (5e-4 / np.sqrt(12)) ** 2
     assert abs(slope / expect - 1.0) < 1e-3
 

@@ -68,32 +68,43 @@ def test_concurrence_shape_check():
         metrics.concurrence(np.eye(2) / 2)
 
 
+def binary_entropy(x):
+    return -sum(v * np.log2(v) for v in (x, 1.0 - x) if v > 0)
+
+
 def test_concurrence_pure_schmidt_angle():
+    # a pure pair's concurrence is 2|c00 c11 - c01 c10| = sin(2 theta)
     for theta in (0.0, 0.2, 0.4, np.pi / 4):
         psi = qstate.two_qubit_pair(theta, 0.7)
-        assert abs(metrics.concurrence_pure(psi) - np.sin(2 * theta)) < 1e-12
+        pure = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+        assert abs(pure - np.sin(2 * theta)) < 1e-12
         rho = np.outer(psi, psi.conj())
-        assert abs(metrics.concurrence(rho) - metrics.concurrence_pure(psi)) < 1e-10
+        assert abs(metrics.concurrence(rho) - pure) < 1e-10
 
 
 def test_entropy_from_purity():
-    assert metrics.entropy_from_purity(1.0) == 0.0
-    assert abs(metrics.entropy_from_purity(0.5) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        metrics.entropy_from_purity(0.3)
+    # a qubit's eigenvalues (1 +- r)/2 follow from its purity, r^2 = 2P - 1
+    def from_purity(p):
+        return binary_entropy((1.0 + np.sqrt(max(2.0 * p - 1.0, 0.0))) / 2.0)
+
+    assert metrics.von_neumann(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+    assert metrics.von_neumann(np.diag([1.0, 0.0])) == 0.0
     g = qdeco.rng(4)
     for _ in range(20):
         rho = random_rho(g, 2)
-        assert abs(metrics.entropy_from_purity(metrics.purity(rho))
+        assert abs(from_purity(metrics.purity(rho))
                    - metrics.von_neumann(rho)) < 1e-9
 
 
 def test_eof_from_concurrence():
-    assert abs(metrics.eof_from_concurrence(1.0) - 1.0) < 1e-12
-    assert metrics.eof_from_concurrence(0.0) == 0.0
-    assert metrics.eof_from_concurrence(0.7) > metrics.eof_from_concurrence(0.3)
-    with pytest.raises(ValueError):
-        metrics.eof_from_concurrence(1.5)
+    # a pure pair's entanglement entropy is its entanglement of formation,
+    # h((1 + sqrt(1 - C^2))/2)
+    for theta in (0.0, 0.3, 0.6, np.pi / 4):
+        psi = qstate.two_qubit_pair(theta, 0.4)
+        c = metrics.concurrence(np.outer(psi, psi.conj()))
+        eof = binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+        rho0 = qstate.partial_trace(psi, 0b01)
+        assert abs(metrics.von_neumann(rho0) - eof) < 1e-12
 
 
 def test_offdiagonal_decay():

@@ -5,34 +5,61 @@ import qdeco
 from qdeco import metrics, qstate
 
 
+def split_bits(mu, num_qubits, mask):
+    """Reference index split, bit by bit: the masked bits of ``mu`` packed in
+    order into i_a, the others into i_b."""
+    i_a = i_b = pos_a = pos_b = 0
+    for j in range(num_qubits):
+        bit = (mu >> j) & 1
+        if (mask >> j) & 1:
+            i_a |= bit << pos_a
+            pos_a += 1
+        else:
+            i_b |= bit << pos_b
+            pos_b += 1
+    return i_a, i_b
+
+
+def basis_state(mu, num_qubits):
+    psi = np.zeros(1 << num_qubits, dtype=complex)
+    psi[mu] = 1.0
+    return psi
+
+
 def test_split_index_worked_example():
     # 7-qubit register, kept-qubit mask 0b0101001: bits of 55 split to (5, 7)
-    assert qstate.split_index(55, 7, 41) == (5, 7)
+    m = qstate.subsystem_matrix(basis_state(55, 7), 41)
+    assert m.shape == (8, 16)
+    assert list(zip(*np.nonzero(m))) == [(5, 7)]
 
 
 def test_split_index_zero_and_all_ones():
     for L, mask in ((3, 0b101), (6, 0b011011), (9, 0b100000001)):
-        assert qstate.split_index(0, L, mask) == (0, 0)
         k = mask.bit_count()
-        assert qstate.split_index((1 << L) - 1, L, mask) == (
-            (1 << k) - 1, (1 << (L - k)) - 1)
+        assert qstate.subsystem_matrix(basis_state(0, L), mask)[0, 0] == 1
+        top = qstate.subsystem_matrix(basis_state((1 << L) - 1, L), mask)
+        assert top[(1 << k) - 1, (1 << (L - k)) - 1] == 1
 
 
 def test_split_index_bijection_exhaustive():
+    # subsystem_matrix of the index vector holds mu at its split (i_a, i_b);
+    # tensor_product of two indicator factors puts their one at mu
     for L, mask in ((4, 0b0110), (7, 41), (16, 0b1010101010101010)):
-        i_a, i_b = qstate._subsystem_maps(L, mask)
         k = mask.bit_count()
-        flat = i_a * (1 << (L - k)) + i_b
-        assert np.array_equal(np.sort(flat), np.arange(1 << L))
-        # the scalar path agrees with the maps
+        m = qstate.subsystem_matrix(np.arange(1 << L), mask)
+        assert np.array_equal(np.sort(m.ravel()), np.arange(1 << L))
         rng = np.random.default_rng(0)
         for mu in rng.integers(0, 1 << L, 20):
-            assert qstate.split_index(int(mu), L, mask) == (i_a[mu], i_b[mu])
+            i_a, i_b = split_bits(int(mu), L, mask)
+            assert m[i_a, i_b] == mu
+            out = qstate.tensor_product(basis_state(i_a, k),
+                                        basis_state(i_b, L - k), mask)
+            assert np.array_equal(out, basis_state(int(mu), L))
 
 
 def test_split_index_invalid_mask():
     with pytest.raises(ValueError):
-        qstate.split_index(0, 3, 0b1000)
+        qstate.subsystem_matrix(np.ones(8), 0b1000)
 
 
 def test_tensor_product_basics():
@@ -90,24 +117,26 @@ def test_partial_trace_vs_dense_projector():
     keep = 0b00100100
     rho = qstate.partial_trace(psi, keep)
     proj = np.outer(psi, psi.conj())
-    i_a, i_b = qstate._subsystem_maps(8, keep)
+    split = [split_bits(mu, 8, keep) for mu in range(256)]
     dense = np.zeros((4, 4), dtype=complex)
-    for mu in range(256):
-        for nu in range(256):
-            if i_b[mu] == i_b[nu]:
-                dense[i_a[mu], i_a[nu]] += proj[mu, nu]
+    for mu, (a_mu, b_mu) in enumerate(split):
+        for nu, (a_nu, b_nu) in enumerate(split):
+            if b_mu == b_nu:
+                dense[a_mu, a_nu] += proj[mu, nu]
     assert np.max(np.abs(rho - dense)) < 1e-10
 
 
 def test_partial_trace_contiguous_runs_match_gather():
-    # every run of adjacent bits at 6 qubits is read through a reshaped view;
-    # compare with the gathered (kept x rest) matrix, plus a non-run mask
+    # every run of adjacent bits at 6 qubits, plus a non-run mask: compare
+    # with the (kept x rest) matrix gathered amplitude by amplitude
     g = qdeco.rng(17)
     psi = qstate.random_state(64, g)
     runs = [((1 << k) - 1) << lo for k in range(1, 7) for lo in range(7 - k)]
     for mask in runs + [0b100101]:
         k = mask.bit_count()
-        m = psi[qstate._gather_order(6, mask)].reshape(1 << k, -1)
+        m = np.empty((1 << k, 1 << (6 - k)), dtype=complex)
+        for mu in range(64):
+            m[split_bits(mu, 6, mask)] = psi[mu]
         assert np.array_equal(qstate.subsystem_matrix(psi, mask), m)
         rho = qstate.partial_trace(psi, mask)
         assert np.max(np.abs(rho - m @ m.conj().T)) < 1e-15
@@ -136,12 +165,16 @@ def test_both_reductions_share_purity():
         assert abs(pa - pb) < 1e-12
 
 
+def schmidt_coefficients(psi, mask):
+    return np.linalg.svd(qstate.subsystem_matrix(psi, mask), compute_uv=False)
+
+
 def test_schmidt_bell_and_product():
-    s, _, _ = qstate.schmidt_decompose(qstate.ghz_state(2), 0b01)
+    s = schmidt_coefficients(qstate.ghz_state(2), 0b01)
     assert np.allclose(s, [1 / np.sqrt(2)] * 2)
     g = qdeco.rng(1)
     a, b = qstate.random_state(2, g), qstate.random_state(4, g)
-    s, _, _ = qstate.schmidt_decompose(qstate.tensor_product(a, b, 0b001), 0b001)
+    s = schmidt_coefficients(qstate.tensor_product(a, b, 0b001), 0b001)
     assert np.allclose(s, [1, 0], atol=1e-12)
 
 
@@ -149,7 +182,7 @@ def test_schmidt_angle_state():
     th = 0.3
     psi = np.zeros(4, dtype=complex)
     psi[0], psi[3] = np.cos(th), np.sin(th)
-    s, _, _ = qstate.schmidt_decompose(psi, 0b01)
+    s = schmidt_coefficients(psi, 0b01)
     assert np.allclose(s, [np.cos(th), np.sin(th)], atol=1e-12)
 
 
@@ -157,20 +190,23 @@ def test_schmidt_matches_partial_trace_eigenvalues():
     g = qdeco.rng(23)
     psi = qstate.random_state(64, g)
     mask = 0b001011
-    s, _, _ = qstate.schmidt_decompose(psi, mask)
+    s = schmidt_coefficients(psi, mask)
     ev = np.sort(np.linalg.eigvalsh(qstate.partial_trace(psi, mask)))[::-1]
     assert np.allclose(s**2, ev[: len(s)], atol=1e-12)
     assert np.isclose(np.sum(s**2), 1.0)
 
 
 def test_schmidt_reconstructs_state():
+    # the Schmidt terms, put back in place by tensor_product, rebuild the
+    # state: the two halves of the subsystem path invert each other
     g = qdeco.rng(29)
     psi = qstate.random_state(32, g)
     mask = 0b00110
-    s, basis_a, basis_b = qstate.schmidt_decompose(psi, mask)
-    m = qstate.subsystem_matrix(psi, mask)
-    rebuilt = sum(s[i] * np.outer(basis_a[i], basis_b[i]) for i in range(len(s)))
-    assert np.max(np.abs(rebuilt - m)) < 1e-12
+    u, s, vh = np.linalg.svd(qstate.subsystem_matrix(psi, mask),
+                             full_matrices=False)
+    rebuilt = sum(s[i] * qstate.tensor_product(u[:, i], vh[i], mask)
+                  for i in range(len(s)))
+    assert np.max(np.abs(rebuilt - psi)) < 1e-12
 
 
 def test_random_state_norm_and_determinism():
@@ -193,7 +229,7 @@ def test_random_state_component_mean():
 
 def test_canonical_bell_concurrence():
     psi = qstate.two_qubit_pair(np.pi / 4, np.pi / 4)
-    assert abs(metrics.concurrence_pure(psi) - 1.0) < 1e-12
+    assert abs(metrics.concurrence(np.outer(psi, psi.conj())) - 1.0) < 1e-12
 
 
 def test_ghz_reduced_purity():
@@ -204,11 +240,14 @@ def test_ghz_reduced_purity():
 
 
 def test_pair_general_reduction_matches_density():
-    from qdeco.linear_response import InitParams, initial_qubit_density
-    params = InitParams(theta=0.31, phi=0.52, eta=0.83)
+    # qubit 0's reduced state: Schmidt weights (cos^2 theta, sin^2 theta) on
+    # the orthonormal pair set by its (phi, eta)
     psi = qstate.two_qubit_pair_general(0.31, 0.52, 0.83, 0.2, -0.4)
     rho0 = qstate.partial_trace(psi, 0b01)
-    assert np.max(np.abs(rho0 - initial_qubit_density(params))) < 1e-12
+    a, b = qstate.schmidt_pair(0.52, 0.83)
+    want = (np.cos(0.31) ** 2 * np.outer(a, a.conj())
+            + np.sin(0.31) ** 2 * np.outer(b, b.conj()))
+    assert np.max(np.abs(rho0 - want)) < 1e-12
 
 
 def test_canonical_state_dispatch_and_ranges():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import qdeco
 from qdeco import rmt
@@ -93,11 +93,14 @@ def test_goe_second_moments():
 
 
 def test_semicircle_density_values():
-    assert abs(rmt.semicircle_density(0.0, 100) - 10.0 / np.pi) < 1e-14
-    assert rmt.semicircle_density(2.0 * np.sqrt(100), 100) == 0.0
-    total, _ = integrate.quad(lambda e: rmt.semicircle_density(e, 64),
-                              -16.0, 16.0, limit=200)
-    assert abs(total - 64) < 1e-6
+    # unfolding counts the levels below E, so its slope is the semicircle
+    # density sqrt(N)/pi sqrt(1 - E^2/4N)
+    n, h = 100, 1e-5
+    e = np.linspace(-19.0, 19.0, 41)
+    slope = (rmt.unfold(e + h, dim=n).energies
+             - rmt.unfold(e - h, dim=n).energies) / (2 * h)
+    density = np.sqrt(n) / np.pi * np.sqrt(1.0 - e * e / (4.0 * n))
+    assert np.max(np.abs(slope - density)) < 1e-6
 
 
 def test_unfold_endpoints_and_flags():
@@ -197,10 +200,12 @@ def test_spacing_statistics_needs_levels():
         rmt.spacing_statistics(np.arange(10.0))
 
 
-def test_brody_pdf_normalized():
-    s = np.linspace(0, 20, 200001)
+def test_fit_brody_recovers_omega():
+    # draws from the Brody density (w+1) b s^w exp(-b s^(w+1)), whose CDF
+    # 1 - exp(-b s^(w+1)) inverts in closed form; b gives unit mean spacing
+    g = qdeco.rng(41)
     for omega in (0.0, 0.33, 1.0):
-        total = np.trapezoid(rmt.brody_pdf(s, omega), s)
-        mean = np.trapezoid(s * rmt.brody_pdf(s, omega), s)
-        assert abs(total - 1.0) < 1e-5
-        assert abs(mean - 1.0) < 1e-4
+        b = special.gamma((omega + 2.0) / (omega + 1.0)) ** (omega + 1.0)
+        s = (-np.log1p(-g.random(20000)) / b) ** (1.0 / (omega + 1.0))
+        assert abs(s.mean() - 1.0) < 0.02
+        assert abs(rmt.fit_brody(s) - omega) < 0.03
