@@ -96,6 +96,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (self.delta and self.n_env_list):
             raise ConfigError("delta and n_env_list need at least one value")
+        # NaN means "unset" in gamma and fit_window, and only there
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v) and not (
+                        math.isnan(v) and name in ("gamma", "fit_window")):
+                    raise ConfigError(f"{name} = {value!r}: values must be finite")
+        if len(self.fit_window) != 2:
+            raise ConfigError("fit_window takes two values, lo and hi")
+        if any(n % 1 for n in self.n_env_list):
+            raise ConfigError("n_env_list holds bath sizes: whole numbers only")
+        if self.kind in ("rmt-cp", "rmt-sigma", "unitality") and len(self.delta) > 1:
+            raise ConfigError(f"{self.kind} runs one splitting; delta has "
+                              f"{len(self.delta)} values")
 
 
 _SECTIONS = {
@@ -216,8 +229,9 @@ def _field_triple(name_or_triple: str):
         parts = tuple(float(x) for x in name_or_triple.split(","))
     except ValueError:
         parts = ()
-    if len(parts) != 3:
-        raise ConfigError(f"field {name_or_triple!r}: use a preset name or 'par,t1,t2'")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise ConfigError(f"field {name_or_triple!r}: use a preset name or "
+                          "three finite numbers 'par,t1,t2'")
     return parts
 
 
@@ -241,17 +255,16 @@ def _linear_slope(t, y):
 # ---------------------------------------------------------------------------
 
 def _concurrence_analytic(cfg: ExperimentConfig, params, p_elr, times):
-    """``rmt-decay``'s analytic_C and sudden-death time: one qubit of a pair
-    at C = sin 2 theta depolarized (spectator), or the Werner curve (Bell
-    pair, both qubits coupled); no curve fits a partly entangled pair there."""
-    if cfg.configuration == "spectator":
-        c0 = math.sin(2.0 * params.theta)
-        return lr.concurrence_prediction(p_elr, "werner-c0", c0=c0, times=times)
-    if params.theta < math.pi / 4 - 1e-12:
+    """``rmt-decay``'s analytic_C and sudden-death time: a pair at
+    C = sin 2 theta with one qubit depolarized (spectator), or a Bell pair
+    with both qubits coupled, whose curve at c0 = 1 is the Werner curve; no
+    curve fits a partly entangled pair with both qubits coupled."""
+    if cfg.configuration != "spectator" and params.theta < math.pi / 4 - 1e-12:
         warnings.warn(f"no concurrence curve for a {cfg.configuration} pair "
                       "below theta = pi/4; analytic_C is NaN")
         return np.full_like(times, np.nan), None
-    return lr.concurrence_prediction(p_elr, "werner", times=times)
+    return lr.concurrence_prediction(p_elr, math.sin(2.0 * params.theta),
+                                     times=times)
 
 
 def _run_rmt_decay(cfg: ExperimentConfig, gen):
@@ -296,27 +309,36 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
     return tables, summary
 
 
+def _cp_outputs(cfg: ExperimentConfig, p, c, **summary):
+    """The table of purity-binned (P, C) samples that ``rmt-cp`` and
+    ``ki-cp`` write, with the summary keys they share added to ``summary``."""
+    curve = metrics.bin_cp_samples(p, c, cfg.bin_width)
+    table = _table(["P_bin", "C_mean", "count", "werner_C"], curve.purity,
+                   curve.concurrence, curve.counts,
+                   metrics.werner_curve(curve.purity))
+    summary.update(cp_distance_werner=metrics.cp_distance(curve),
+                   p_min=float(curve.purity.min()))
+    return {cfg.kind: table}, summary
+
+
 def _run_rmt_cp(cfg: ExperimentConfig, gen):
     delta = cfg.delta[0]
     spec = _model_spec(cfg, delta)
+    if spec.num_qubits != 2:
+        raise ConfigError("concurrence-purity curves need a two-qubit center")
     params = _init_params(cfg, delta)
-    tau = spec.nominal_tau_h()
     n_env = spec.env_dims[0]
-    times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
-    curve = rm.cp_curve(spec, params, times, cfg.n_hamiltonians, cfg.n_initials,
-                        gen, threads=cfg.threads, bin_width=cfg.bin_width)
-    ref = metrics.werner_curve(curve.purity)
-    table = _table(["P_bin", "C_mean", "count", "werner_C"],
-                   curve.purity, curve.concurrence, curve.counts, ref)
-    summary = {
-        "cp_distance_werner": metrics.cp_distance(curve, metrics.werner_curve),
-        "deviation_estimate": metrics.werner_deviation_estimate(
+    times = np.linspace(0.0, cfg.t_max_over_tauh * spec.nominal_tau_h(),
+                        cfg.n_times)
+    _, samples = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
+                                cfg.n_initials, gen, threads=cfg.threads,
+                                collect_samples=True)
+    return _cp_outputs(
+        cfg, samples["purity"], samples["concurrence"],
+        deviation_estimate=metrics.werner_deviation_estimate(
             cfg.coupling * math.sqrt(n_env) / math.pi, n_env),
-        "unital_area": metrics.UNITAL_AREA,
-        "p_min": float(curve.purity.min()),
-        "n_samples": int(curve.counts.sum()),
-    }
-    return {"rmt-cp": table}, summary
+        unital_area=metrics.UNITAL_AREA,
+        n_samples=samples["purity"].size)
 
 
 def _run_rmt_sigma(cfg: ExperimentConfig, gen):
@@ -417,18 +439,9 @@ def _run_ki_decay(cfg: ExperimentConfig, gen):
 def _run_ki_cp(cfg: ExperimentConfig, gen):
     model, env = _build_ki(cfg)
     trs = _ki_trajectories(cfg, gen, model, qstate.ghz_state(2))
-    p = np.concatenate([tr.purity for tr in trs])
-    c = np.concatenate([tr.concurrence for tr in trs])
-    curve = metrics.bin_cp_samples(p, c, cfg.bin_width)
-    table = _table(["P_bin", "C_mean", "count", "werner_C"], curve.purity,
-                   curve.concurrence, curve.counts,
-                   metrics.werner_curve(curve.purity))
-    summary = {
-        "cp_distance_werner": metrics.cp_distance(curve, metrics.werner_curve),
-        "tau_h_estimate": env.tau_h_estimate,
-        "p_min": float(curve.purity.min()),
-    }
-    return {"ki-cp": table}, summary
+    return _cp_outputs(cfg, np.concatenate([tr.purity for tr in trs]),
+                       np.concatenate([tr.concurrence for tr in trs]),
+                       tau_h_estimate=env.tau_h_estimate)
 
 
 def _run_ki_vs_rmt(cfg: ExperimentConfig, gen):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError
-from .metrics import werner_curve, werner_curve_c0
+from .metrics import werner_curve
 from .rmt import b2, b2_double_integral
 
 # configuration: (central qubits, coupled qubits, environments, bath cap);
@@ -349,21 +349,14 @@ def exponentiate(p_lr, p_infinity: float):
     return out if out.ndim else float(out)
 
 
-def concurrence_prediction(p_of_t, mode: str, c0: float = 1.0, times=None):
-    """Concurrence trajectory from a purity trajectory.
-
-    mode "werner": C from the Werner curve, expects the exponentiated
-    purity; "werner-c0": same for initial concurrence c0.
+def concurrence_prediction(p_of_t, c0: float = 1.0, times=None):
+    """Concurrence trajectory from a purity trajectory, through the
+    depolarized-pair curve ``werner_curve`` at initial concurrence c0 (the
+    Werner curve at c0 = 1); expects the exponentiated purity.
     Returns (C array, sudden-death time or None), the time interpolated
     where C first reaches zero (requires ``times``).
     """
-    p = np.asarray(p_of_t, dtype=float)
-    if mode == "werner":
-        c = werner_curve(p)
-    elif mode == "werner-c0":
-        c = werner_curve_c0(p, c0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    c = werner_curve(p_of_t, c0)
     t_star = None
     if times is not None:
         times = np.asarray(times, dtype=float)

@@ -40,25 +40,21 @@ def concurrence(rho):
     """Two-qubit mixed-state concurrence, of one matrix or a stack
     (..., 4, 4).
 
-    Square roots of the (real, nonnegative up to rounding) eigenvalues of
-    rho (sy x sy) rho* (sy x sy), sorted descending; then
-    max(0, L1 - L2 - L3 - L4).  Conjugation is in the computational basis.
-    The spectrum is taken from the similarity-equivalent Hermitian form
-    sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), which keeps the rank-
+    max(0, L1 - L2 - L3 - L4) with L the singular values, descending, of
+    sqrt(rho) sqrt(rho~), where rho~ = S rho* S is the spin-flipped state,
+    S = sy x sy and conjugation in the computational basis.  S is real,
+    symmetric and its own inverse, so sqrt(rho~) = S sqrt(rho)* S and one
+    eigendecomposition of rho gives both roots; this form keeps the rank-
     deficient pure-state case accurate to machine precision.  Refuses the
     whole stack if any member has an eigenvalue below -1e-10.
     """
     rho = _stack_of(rho, 4)
-
-    def msqrt(m):
-        ev, vec = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
-        if ev.min() < -1e-10:
-            raise ValueError(f"density matrix has eigenvalue {ev.min()} < -1e-10")
-        root = vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]
-        return root @ vec.conj().swapaxes(-1, -2)
-
-    flipped = _SYY @ rho.conj() @ _SYY
-    lam = np.linalg.svd(msqrt(rho) @ msqrt(flipped), compute_uv=False)
+    ev, vec = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    if ev.min() < -1e-10:
+        raise ValueError(f"density matrix has eigenvalue {ev.min()} < -1e-10")
+    root = (vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]
+            @ vec.conj().swapaxes(-1, -2))
+    lam = np.linalg.svd(root @ (_SYY @ root.conj() @ _SYY), compute_uv=False)
     return _value(np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3],
                           0.0, None))
 
@@ -106,22 +102,15 @@ def unitality_distance(rho):
 # Werner-family concurrence-purity relations
 # ---------------------------------------------------------------------------
 
-def werner_curve(p):
-    """Concurrence of the Werner family at purity p:
-    max(0, (sqrt(12 p - 3) - 1)/2)."""
-    p = np.asarray(p, dtype=float)
-    c = (np.sqrt(np.clip(12.0 * p - 3.0, 0.0, None)) - 1.0) / 2.0
-    return _value(np.clip(c, 0.0, None))
-
-
-def werner_curve_c0(p, c0: float):
+def werner_curve(p, c0: float = 1.0):
     """Concurrence-purity relation when one qubit of a pure pair with
     initial concurrence c0 is depolarized,
 
         C = c0 max(0, (3/2) sqrt(1 - 4(1-P)/(2 + c0^2)) - 1/2),
 
     zero once 9P <= 5 - 2 c0^2 (the depolarized pair state crosses its
-    sudden death there).  Reduces to the Werner curve at c0 = 1."""
+    sudden death there).  At c0 = 1 it is the Werner family's
+    max(0, (sqrt(12 P - 3) - 1)/2)."""
     if not -1e-12 <= c0 <= 1 + 1e-12:
         raise ValueError("initial concurrence must lie in [0, 1]")
     p = np.asarray(p, dtype=float)
@@ -185,11 +174,11 @@ def bin_cp_samples(purities, concurrences, bin_width: float = 0.005) -> CPCurve:
                    counts, bin_width)
 
 
-def cp_distance(curve: CPCurve, reference) -> float:
-    """Trapezoid integral of |C_curve(P) - C_reference(P)| over the purity
+def cp_distance(curve: CPCurve) -> float:
+    """Trapezoid integral of |C_curve(P) - C_Werner(P)| over the purity
     range spanned by the curve."""
     if len(curve.purity) == 0:
         raise ValueError("empty curve")
     p = curve.purity[::-1]  # ascending
     c = curve.concurrence[::-1]
-    return float(np.trapezoid(np.abs(c - reference(p)), p))
+    return float(np.trapezoid(np.abs(c - werner_curve(p)), p))

@@ -398,7 +398,8 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     and reused across its initial conditions; environment states (and, when
     ``params_sampler`` is given, the central state) are drawn per initial
     condition.  Deterministic for a fixed generator seed, independent of
-    ``threads``.
+    ``threads``.  With ``collect_samples`` it also returns every sample's
+    purity (and, for two qubits, concurrence) series, concatenated.
     """
     if n_hamiltonians < 1 or n_initials < 1:
         raise ConfigError("realization counts must be at least 1")
@@ -420,19 +421,6 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
         return avg, {k: np.concatenate([getattr(tr, k) for tr in batches])
                      for k in names}
     return avg
-
-
-def cp_curve(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
-             n_initials: int, gen, params2: InitParams | None = None,
-             threads: int = 1, bin_width: float = 0.005) -> metrics.CPCurve:
-    """Ensemble concurrence-purity curve, binned by purity."""
-    if spec.num_qubits != 2:
-        raise ConfigError("concurrence-purity curves need a two-qubit center")
-    _, samples = monte_carlo(spec, params, times, n_hamiltonians, n_initials,
-                             gen, params2=params2, threads=threads,
-                             collect_samples=True)
-    return metrics.bin_cp_samples(samples["purity"], samples["concurrence"],
-                                  bin_width)
 
 
 def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,

@@ -216,9 +216,10 @@ def _cp_distance_run(ne, lam, n_h, n_i, seed):
     cfg = lr.LRConfig.single("spectator", 2, tau, lam_code)
     t_max = lr_depth_time(cfg, params, 2.2)
     times = np.linspace(0.0, t_max, 56)
-    curve = rm.cp_curve(spec, params, times, n_h, n_i, qdeco.rng(seed),
-                        threads=THREADS)
-    return metrics.cp_distance(curve, metrics.werner_curve), t_max / tau
+    _, samples = rm.monte_carlo(spec, params, times, n_h, n_i, qdeco.rng(seed),
+                                threads=THREADS, collect_samples=True)
+    curve = metrics.bin_cp_samples(samples["purity"], samples["concurrence"])
+    return metrics.cp_distance(curve), t_max / tau
 
 
 def test_criterion_4_strong_coupling_on_werner_curve():
@@ -261,7 +262,7 @@ def c5_run():
     cfg = lr.LRConfig("joint", (2, 2), (tau, tau), (lam, lam))
     p_elr = lr.exponentiate(lr.purity_lr(cfg, params, times, params2=params),
                             0.25)
-    c_elr, t_star = lr.concurrence_prediction(p_elr, "werner", times=times)
+    c_elr, t_star = lr.concurrence_prediction(p_elr, times=times)
     return times, avg, c_elr, t_star, lam * np.sqrt(ne) / np.pi
 
 

@@ -58,7 +58,7 @@ def test_config_sections_cover_every_key_once(tmp_path):
     assert sorted(keys) == sorted(f.name for f in fields(xp.ExperimentConfig))
     assert len(keys) == len(set(keys))
     cfg = replace(
-        xp.ExperimentConfig(), kind="unitality", seed=8, threads=2, out="elsewhere",
+        xp.ExperimentConfig(), kind="ki-decay", seed=8, threads=2, out="elsewhere",
         configuration="joint", ensemble="GOE", n_env=64, coupling=0.02,
         delta=(0.1, 0.2), delta2=0.3, theta=0.5, phi=0.6, gamma=0.1,
         env_spectrum="raw", n_hamiltonians=3, n_initials=4, t_max_over_tauh=1.5,
@@ -398,6 +398,28 @@ def test_cli_run_and_exit_codes(tmp_path):
               ("rmt-cp", "bin_width=-1"), ("rmt-cp", "bin_width=0"),
               ("rmt-sigma", "n_env_list="), ("ki-vs-rmt", "steps=5 q_env=4"),
               ("ki-decay", "field=foo")]
+    # non-finite numbers; NaN means "unset" in gamma and fit_window only
+    cases += [("rmt-decay", f"{tiny} {value}")
+              for value in ("coupling=nan", "delta=nan", "delta2=nan",
+                            "t_max_over_tauh=inf", "gamma=inf")]
+    ring = "steps=16 q_env=4 n_realizations=1"
+    cases += [("ki-vs-rmt", f"{ring} {value}")
+              for value in ("fit_window=5", "fit_window=1,2,3",
+                            "fit_window=nan,inf")]
+    cases += [("ki-decay", f"{ring} field=nan,1,1"),
+              ("ki-decay", f"{ring} j_prime=inf")]
+    unital = "n_realizations=1 n_times=3"
+    cases += [("unitality", f"{unital} n_env_list=nan"),
+              ("unitality", f"{unital} n_env_list=inf")]
+    # bath sizes are never truncated, and one-splitting kinds take one value
+    goe = "ensemble=GOE n_hamiltonians=1 n_initials=2"
+    cases += [("unitality", f"{unital} n_env_list=8.7"),
+              ("rmt-sigma", f"{goe} n_env_list=16.5"),
+              ("unitality", f"{unital} n_env_list=8 delta=0,5"),
+              ("rmt-sigma", f"{goe} n_env_list=16 delta=0,0.01"),
+              ("rmt-cp", f"{tiny} delta=0,5")]
+    # a concurrence-purity curve needs a qubit pair
+    cases += [("rmt-cp", f"{tiny} configuration=one-qubit")]
     # a ring position is a site number, never truncated to one
     one = "memory_qubits=1 ring_spins=6"
     cases += [("memory-sumrule", f"{one} positions=1.5"),
@@ -414,6 +436,9 @@ def test_cli_run_and_exit_codes(tmp_path):
         bad_value = runner.invoke(main, [kind, *args])
         assert bad_value.exit_code == 2, (kind, values, bad_value.output)
         assert "configuration error" in bad_value.output
+    nan_coupling = runner.invoke(main, ["memory-sumrule", "--set", "mem_coupling=nan"])
+    assert nan_coupling.exit_code == 2
+    assert "mem_coupling = nan: values must be finite" in nan_coupling.output
     # the register cap refuses before any 2^L allocation
     too_big = runner.invoke(main, ["ki-decay", "--set", "q_env=40"])
     assert too_big.exit_code == 3, too_big.output

@@ -258,18 +258,17 @@ def test_exponentiate():
 def test_concurrence_prediction_modes():
     times = np.linspace(0.0, 4.0, 200)
     p = 1.0 - 0.3 * times
-    c, t_star = lr.concurrence_prediction(p, "werner", times=times)
+    c, t_star = lr.concurrence_prediction(p, times=times)
     assert np.all(c[p <= 1.0 / 3.0] == 0.0)
     assert t_star is not None
     # sudden death where the purity crosses 1/3
     assert abs(t_star - (1 - 1.0 / 3.0) / 0.3) < 0.03
     ones = np.ones_like(times)
-    c0_curve, t0 = lr.concurrence_prediction(ones, "werner-c0", c0=0.6, times=times)
+    c0_curve, t0 = lr.concurrence_prediction(ones, c0=0.6, times=times)
     assert np.allclose(c0_curve, 0.6)
     assert t0 is None
-    for mode in ("linear", "nope"):
-        with pytest.raises(ValueError):
-            lr.concurrence_prediction(p, mode)
+    with pytest.raises(ValueError):
+        lr.concurrence_prediction(p, c0=1.5)
 
 
 def test_nqubit_sum_rule():

@@ -68,6 +68,24 @@ def test_concurrence_shape_check():
         metrics.concurrence(np.eye(2) / 2)
 
 
+def test_concurrence_x_states():
+    # an X state (diagonal plus the rho14 and rho23 coherences) has
+    # C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
+    g = qdeco.rng(9)
+    for k in range(400):
+        d = g.dirichlet(np.ones(4))
+        # a coherence at its bound drops the rank: ranks 4, 3, 3, 2 in turn
+        u = np.where([k % 2, k // 2 % 2], 1.0, g.uniform(size=2))
+        r14 = u[0] * np.sqrt(d[0] * d[3]) * np.exp(2j * np.pi * g.uniform())
+        r23 = u[1] * np.sqrt(d[1] * d[2]) * np.exp(2j * np.pi * g.uniform())
+        rho = np.diag(d).astype(complex)
+        rho[0, 3], rho[3, 0] = r14, np.conj(r14)
+        rho[1, 2], rho[2, 1] = r23, np.conj(r23)
+        want = 2 * max(0.0, abs(r14) - np.sqrt(d[1] * d[2]),
+                       abs(r23) - np.sqrt(d[0] * d[3]))
+        assert abs(metrics.concurrence(rho) - want) < 1e-12
+
+
 def binary_entropy(x):
     return -sum(v * np.log2(v) for v in (x, 1.0 - x) if v > 0)
 
@@ -136,9 +154,9 @@ def test_werner_curve_values():
 
 def test_werner_family_reduces_at_c0_one():
     p = np.linspace(0.26, 1.0, 200)
-    assert np.max(np.abs(metrics.werner_curve_c0(p, 1.0)
-                         - metrics.werner_curve(p))) < 1e-12
-    assert abs(metrics.werner_curve_c0(1.0, 0.4) - 0.4) < 1e-12
+    werner = np.clip((np.sqrt(np.clip(12 * p - 3, 0, None)) - 1) / 2, 0, None)
+    assert np.max(np.abs(metrics.werner_curve(p) - werner)) < 1e-12
+    assert abs(metrics.werner_curve(1.0, 0.4) - 0.4) < 1e-12
 
 
 def test_werner_c0_matches_depolarized_pair():
@@ -159,7 +177,7 @@ def test_werner_c0_matches_depolarized_pair():
                   for k in kraus)
         c = metrics.concurrence(rho)
         p = metrics.purity(rho)
-        assert abs(c - metrics.werner_curve_c0(p, c0)) < 1e-9
+        assert abs(c - metrics.werner_curve(p, c0)) < 1e-9
 
 
 def test_werner_deviation_estimate_value():
@@ -181,7 +199,7 @@ def test_cp_curve_binning_and_distance():
     curve = metrics.bin_cp_samples(p, metrics.werner_curve(p), bin_width=0.005)
     assert np.all(np.diff(curve.purity) < 0)
     assert np.all(curve.physical)
-    assert metrics.cp_distance(curve, metrics.werner_curve) < 2e-4
+    assert metrics.cp_distance(curve) < 2e-4
     # out-of-range points are kept and flagged, never dropped
     wild = metrics.bin_cp_samples([0.9, 0.1], [0.2, 0.2], bin_width=0.005)
     assert list(wild.physical) == [True, False]
@@ -189,7 +207,7 @@ def test_cp_curve_binning_and_distance():
     eps = 0.03
     curve2 = metrics.bin_cp_samples(p, metrics.werner_curve(p) + eps, 0.005)
     span = curve2.purity.max() - curve2.purity.min()
-    assert abs(metrics.cp_distance(curve2, metrics.werner_curve) - eps * span) < 1e-3
+    assert abs(metrics.cp_distance(curve2) - eps * span) < 1e-3
     # purities that are 1 up to rounding share the top bin
     top = metrics.bin_cp_samples([1 + 7e-15, 1 - 5e-15, 0.9], [1.0, 1.0, 0.5])
     assert list(top.counts) == [2, 1]

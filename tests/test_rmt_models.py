@@ -333,8 +333,7 @@ def test_unitality_distance_shrinks_with_bath():
 def test_cp_curve_starts_at_bell_corner():
     spec = small_spec(n_env=16, coupling=0.1, delta=(0.0, 0.0))
     params = lr.InitParams(theta=np.pi / 4, phi=np.pi / 4)
-    curve = rm.cp_curve(spec, params, np.linspace(0, 2, 6), 3, 3, qdeco.rng(20))
+    _, samples = rm.monte_carlo(spec, params, np.linspace(0, 2, 6), 3, 3,
+                                qdeco.rng(20), collect_samples=True)
+    curve = metrics.bin_cp_samples(samples["purity"], samples["concurrence"])
     assert curve.purity[0] > 0.99 and curve.concurrence[0] > 0.99
-    with pytest.raises(ConfigError):
-        rm.cp_curve(rm.ModelSpec("one-qubit", 8, coupling=0.1),
-                    params, np.linspace(0, 2, 4), 2, 2, qdeco.rng(1))
