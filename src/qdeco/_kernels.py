@@ -23,14 +23,13 @@ GROUP = 4
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def ising_phase(num_qubits: int, pairs, site_terms=None) -> np.ndarray:
+def ising_phase(couplings, site_terms=None) -> np.ndarray:
     """Diagonal of exp(-i E), E = sum_{j<k} J_jk s_j s_k + sum_j t_j s_j,
-    from ``(j, k, J_jk)`` triples and optional per-site ``t_j`` (s = +1 for
-    bit 0).  E is built one bit at a time: appending bit j maps E to
-    [E + h_j, E - h_j] with h_j = t_j + sum_{k<j} J_jk s_k."""
-    lower = np.zeros((num_qubits, num_qubits))
-    for j, k, strength in pairs:
-        lower[max(j, k), min(j, k)] += strength
+    from the symmetric coupling matrix J and optional per-site ``t_j``
+    (s = +1 for bit 0).  E is built one bit at a time: appending bit j maps
+    E to [E + h_j, E - h_j] with h_j = t_j + sum_{k<j} J_jk s_k."""
+    lower = np.tril(couplings, -1)
+    num_qubits = len(lower)
     t = np.zeros(num_qubits) if site_terms is None else site_terms
     energy = np.empty(1 << num_qubits)
     energy[0] = 0.0

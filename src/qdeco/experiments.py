@@ -24,6 +24,10 @@ from .errors import ConfigError
 from .qstate import rng
 from .trajectory import average
 
+# bound on every number a config sets: a product of four stays finite
+MAX_MAGNITUDE = 1e50
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat bag of every knob; ``_SECTIONS`` groups them into the sections
@@ -99,9 +103,10 @@ class ExperimentConfig:
         # NaN means "unset" in gamma and fit_window, and only there
         for name, value in vars(self).items():
             for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v) and not (
+                if isinstance(v, float) and not abs(v) <= MAX_MAGNITUDE and not (
                         math.isnan(v) and name in ("gamma", "fit_window")):
-                    raise ConfigError(f"{name} = {value!r}: values must be finite")
+                    raise ConfigError(f"{name} = {value!r}: values must be "
+                                      f"finite and at most {MAX_MAGNITUDE:g} in size")
         if len(self.fit_window) != 2:
             raise ConfigError("fit_window takes two values, lo and hi")
         if any(n % 1 for n in self.n_env_list):
@@ -201,11 +206,11 @@ def _table(columns, *arrays) -> ResultTable:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _init_params(cfg: ExperimentConfig, delta: float) -> lr.InitParams:
+def _init_params(cfg: ExperimentConfig) -> lr.InitParams:
     theta = 0.0 if cfg.configuration == "one-qubit" else cfg.theta
     if not math.isnan(cfg.gamma):
-        return lr.InitParams.equatorial(theta, cfg.gamma, delta)
-    return lr.InitParams(theta=theta, phi=cfg.phi, delta=delta)
+        return lr.InitParams.equatorial(theta, cfg.gamma)
+    return lr.InitParams(theta=theta, phi=cfg.phi)
 
 
 def _model_spec(cfg: ExperimentConfig, delta: float) -> rm.ModelSpec:
@@ -214,12 +219,12 @@ def _model_spec(cfg: ExperimentConfig, delta: float) -> rm.ModelSpec:
                         cfg.coupling, deltas, env_spectrum=cfg.env_spectrum)
 
 
-def _lr_config(cfg: ExperimentConfig, spec: rm.ModelSpec) -> lr.LRConfig:
-    beta = 1 if cfg.ensemble == "GOE" else 2
-    taus = tuple(spec.nominal_tau_h(spec.env_of_coupling(i))
-                 for i in range(spec.num_coupled))
-    return lr.LRConfig(cfg.configuration, (beta,) * spec.num_coupled, taus,
-                       spec.couplings, n_env=spec.env_dims[0])
+def _lr_config(spec: rm.ModelSpec) -> lr.LRConfig:
+    k = spec.num_coupled
+    beta = 1 if spec.ensemble == "GOE" else 2
+    taus = tuple(spec.nominal_tau_h(spec.env_of_coupling(i)) for i in range(k))
+    return lr.LRConfig(spec.configuration, (beta,) * k, taus, spec.couplings,
+                       spec.deltas[:k], n_env=spec.env_dims[0])
 
 
 def _field_triple(name_or_triple: str):
@@ -229,9 +234,9 @@ def _field_triple(name_or_triple: str):
         parts = tuple(float(x) for x in name_or_triple.split(","))
     except ValueError:
         parts = ()
-    if len(parts) != 3 or not all(map(math.isfinite, parts)):
-        raise ConfigError(f"field {name_or_triple!r}: use a preset name or "
-                          "three finite numbers 'par,t1,t2'")
+    if len(parts) != 3 or not all(abs(x) <= MAX_MAGNITUDE for x in parts):
+        raise ConfigError(f"field {name_or_triple!r}: use a preset name or three "
+                          f"numbers 'par,t1,t2' of size at most {MAX_MAGNITUDE:g}")
     return parts
 
 
@@ -269,24 +274,22 @@ def _concurrence_analytic(cfg: ExperimentConfig, params, p_elr, times):
 
 def _run_rmt_decay(cfg: ExperimentConfig, gen):
     tables, summary = {}, {"variants": []}
+    params = _init_params(cfg)
     for delta in cfg.delta:
         spec = _model_spec(cfg, delta)
-        params = _init_params(cfg, delta)
-        # qubit 1, for the simulation and the prediction alike
-        params2 = lr.InitParams(theta=params.theta, delta=cfg.delta2)
         tau = spec.nominal_tau_h()
         times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
-        avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                             cfg.n_initials, gen, params2=params2,
-                             threads=cfg.threads)
-        lrc = _lr_config(cfg, spec)
+        # predict first: an oversized quadrature grid is refused before any run
+        lrc = _lr_config(spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            p_lr = lr.purity_lr(lrc, params, times, params2=params2)
+            p_lr = lr.purity_lr(lrc, params, times)
             p_inf = lr.asymptotic_purity(lrc, params)
             p_elr = lr.exponentiate(p_lr, p_inf)
             c_elr, t_star = (_concurrence_analytic(cfg, params, p_elr, times)
                              if spec.num_qubits == 2 else (None, None))
+        avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
+                             cfg.n_initials, gen, threads=cfg.threads)
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,
                   p_lr, p_elr]
@@ -326,7 +329,7 @@ def _run_rmt_cp(cfg: ExperimentConfig, gen):
     spec = _model_spec(cfg, delta)
     if spec.num_qubits != 2:
         raise ConfigError("concurrence-purity curves need a two-qubit center")
-    params = _init_params(cfg, delta)
+    params = _init_params(cfg)
     n_env = spec.env_dims[0]
     times = np.linspace(0.0, cfg.t_max_over_tauh * spec.nominal_tau_h(),
                         cfg.n_times)
@@ -347,16 +350,16 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     times = np.array([0.0, t_fix])
     params = lr.InitParams.equatorial(
         0.0 if cfg.configuration == "one-qubit" else cfg.theta,
-        0.0 if math.isnan(cfg.gamma) else cfg.gamma, cfg.delta[0])
+        0.0 if math.isnan(cfg.gamma) else cfg.gamma)
 
     def sampler(g):
         gamma = math.asin(g.uniform(-1.0, 1.0))
-        return lr.InitParams.equatorial(params.theta, gamma, cfg.delta[0])
+        return lr.InitParams.equatorial(params.theta, gamma)
 
     specs = [_model_spec(replace(cfg, n_env=n), cfg.delta[0]) for n in sizes]
     # refuses ensembles, layouts and splittings the formula does not cover
     # before any Monte Carlo run
-    preds = [lr.sigma_purity(_lr_config(cfg, spec), params, t_fix)
+    preds = [lr.sigma_purity(_lr_config(spec), params, t_fix)
              for spec in specs]
     if cfg.n_hamiltonians * cfg.n_initials < 2:
         raise ConfigError("the purity spread needs at least two realizations "

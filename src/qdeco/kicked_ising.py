@@ -93,11 +93,6 @@ class KIModel:
         return 1 << self.num_spins
 
     @property
-    def pairs(self):
-        j, k = np.nonzero(np.triu(self.couplings, k=1))
-        return [(int(a), int(b), float(self.couplings[a, b])) for a, b in zip(j, k)]
-
-    @property
     def central_mask(self) -> int:
         return sum(1 << s for s in self.central_sites)
 
@@ -170,7 +165,7 @@ class _Period:
             # a kick has unit determinant, so c_j l_j = exp(-i t_j s_j)
             ang = np.angle(c * l)
             terms.append(0.5 * (ang[1] - ang[0]))
-        self.phase = _kernels.ising_phase(model.num_spins, model.pairs, terms)
+        self.phase = _kernels.ising_phase(model.couplings, terms)
         self.kicks = _kernels.fuse(rotations)
         self.enter = _kernels.fuse([None if f is None else f.conj().T
                                     for f in self.frame])

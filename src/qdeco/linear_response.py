@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .metrics import werner_curve
 from .rmt import b2, b2_double_integral
 
@@ -34,18 +34,16 @@ LAYOUTS = {"one-qubit": (1, 1, 1, 2048), "spectator": (2, 1, 1, 2048),
 
 @dataclass(frozen=True)
 class InitParams:
-    """Angles of the initial central state and the local splitting.
+    """Angles of the initial central state.
 
     theta: Schmidt (entanglement) angle in [0, pi/4]; concurrence sin(2 theta).
     phi:   magnetization angle of the coupled qubit's Schmidt vectors, [0, pi/2].
     eta:   phase between the components of those Schmidt vectors.
-    delta: level splitting of the coupled qubit.
     """
 
     theta: float = 0.0
     phi: float = 0.0
     eta: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self):
         if not -1e-12 <= self.theta <= np.pi / 4 + 1e-12:
@@ -54,14 +52,14 @@ class InitParams:
             raise ConfigError(f"phi={self.phi} outside [0, pi/2]")
 
     @classmethod
-    def equatorial(cls, theta: float, gamma: float, delta: float = 0.0):
+    def equatorial(cls, theta: float, gamma: float):
         """Pair state whose coupled-qubit Schmidt vectors are
         (|0> +- e^{i gamma}|1>)/sqrt(2), i.e. on the Bloch equator at angle
         gamma; in the (phi, eta) parametrization that is phi = pi/4 and
         eta = -gamma."""
         if not -np.pi / 2 - 1e-12 <= gamma <= np.pi / 2 + 1e-12:
             raise ConfigError(f"gamma={gamma} outside [-pi/2, pi/2]")
-        return cls(theta=theta, phi=np.pi / 4, eta=-gamma, delta=delta)
+        return cls(theta=theta, phi=np.pi / 4, eta=-gamma)
 
     @property
     def sin_sq_gamma(self) -> float:
@@ -72,8 +70,8 @@ class InitParams:
 
 
 def second_qubit(params: InitParams, params2: InitParams | None) -> InitParams:
-    """Qubit 1 of a two-qubit center: ``params2``, or by default an unsplit
-    qubit with phi = eta = 0 sharing the pair's theta."""
+    """Qubit 1 of a two-qubit center: ``params2``, or by default a qubit
+    with phi = eta = 0 sharing the pair's theta."""
     if params2 is None:
         return InitParams(theta=params.theta)
     if abs(params2.theta - params.theta) > 1e-12:
@@ -84,24 +82,29 @@ def second_qubit(params: InitParams, params2: InitParams | None) -> InitParams:
 @dataclass(frozen=True)
 class LRConfig:
     """Coupling layout: which configuration, ensemble(s), Heisenberg time(s),
-    and coupling strength(s).  ``couplings``/``beta``/``tau_h`` carry one
-    entry per coupled qubit (two for separate/joint, n for n-qubit)."""
+    coupling strength(s) and level splitting(s).  ``beta``/``tau_h``/
+    ``couplings``/``deltas`` carry one entry per coupled qubit (two for
+    separate/joint).  An n-qubit register composes from one-qubit layouts
+    through ``nqubit_sum_rule``."""
 
     configuration: str
     beta: tuple[int, ...]
     tau_h: tuple[float, ...]
     couplings: tuple[float, ...]
-    initial_purities: tuple[float, ...] = ()
+    deltas: tuple[float, ...]
     n_env: int | None = None
 
     def __post_init__(self):
+        if self.configuration == "n-qubit":
+            raise ConfigError("n-qubit registers compose from one-qubit "
+                              "predictions through nqubit_sum_rule")
         if self.configuration not in LAYOUTS:
             raise ConfigError(f"unknown configuration {self.configuration!r}")
         k = len(self.couplings)
-        if len(self.beta) != k or len(self.tau_h) != k:
-            raise ConfigError("beta, tau_h, couplings must have equal length")
+        if not len(self.beta) == len(self.tau_h) == len(self.deltas) == k:
+            raise ConfigError("beta, tau_h, couplings, deltas must have equal length")
         expected = LAYOUTS[self.configuration][1]
-        if expected is not None and k != expected:
+        if k != expected:
             raise ConfigError(
                 f"{self.configuration} takes {expected} coupling(s), got {k}")
         if self.configuration == "joint" and (
@@ -114,10 +117,6 @@ class LRConfig:
             raise ConfigError("couplings must be nonnegative")
         if any(t <= 0 for t in self.tau_h):
             raise ConfigError("Heisenberg times must be positive")
-
-    @classmethod
-    def single(cls, configuration, beta, tau_h, coupling, n_env=None):
-        return cls(configuration, (beta,), (tau_h,), (coupling,), n_env=n_env)
 
 
 def f_heisenberg(t, tau_h: float):
@@ -144,12 +143,20 @@ def geometric_factors(params: InitParams):
 # the quadrature kernel
 # ---------------------------------------------------------------------------
 
+# quadrature grid cap: the kernel's arrays peak near 64 MiB at this size
+MAX_GRID_POINTS = 1 << 20
+
+
 def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
     """integral_0^t (t-u) b2(u/tau_h) [g1 + g2 cos(delta u)] du at each t."""
     t_max = times.max()
     if t_max == 0.0:
         return np.zeros_like(times)
-    n = max(256, int(np.ceil(points_per_tauh * t_max / tau_h)))
+    n = points_per_tauh * t_max / tau_h
+    if not n <= MAX_GRID_POINTS:
+        raise ResourceLimitError(f"quadrature grid of {n:.3g} points up to "
+                                 f"t = {t_max:.3g} exceeds {MAX_GRID_POINTS}")
+    n = max(256, int(np.ceil(n)))
     base = np.linspace(0.0, t_max, n)
     grid = np.union1d(np.union1d(base, times), [tau_h] if tau_h < t_max else [])
     f = b2(beta, grid / tau_h) * (g1 + g2 * np.cos(delta * grid))
@@ -159,11 +166,10 @@ def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
     return times * c0[idx] - c1[idx]
 
 
-def _coupling_contribution(beta, tau_h, lam, params, times, points_per_tauh):
+def _coupling_contribution(beta, tau_h, lam, d, params, times, points_per_tauh):
     """2 lambda^2 x (double time integral of the response kernel) for one
-    coupled qubit."""
+    coupled qubit with splitting d."""
     _, _, g1, g2 = geometric_factors(params)
-    d = params.delta
     if d == 0.0:
         osc = times**2
         sq = times.astype(complex) ** 2
@@ -181,10 +187,12 @@ def _coupling_contribution(beta, tau_h, lam, params, times, points_per_tauh):
     return 2.0 * lam**2 * i_corr
 
 
-def _per_coupling_params(config, params, params2):
+def _per_coupling(config, params, params2):
+    """(beta, tau_h, lambda, Delta, initial state) of each coupled qubit."""
+    states = [params]
     if config.configuration in ("separate", "joint"):
-        return [params, second_qubit(params, params2)]
-    return [params]
+        states.append(second_qubit(params, params2))
+    return zip(config.beta, config.tau_h, config.couplings, config.deltas, states)
 
 
 def purity_lr(config: LRConfig, params: InitParams, t, params2: InitParams | None = None,
@@ -198,41 +206,23 @@ def purity_lr(config: LRConfig, params: InitParams, t, params2: InitParams | Non
         raise ValueError("times must be nonnegative")
     if config.configuration == "one-qubit" and abs(params.theta) > 1e-12:
         raise ValueError("one-qubit configuration takes a pure qubit (theta = 0)")
-    if config.configuration == "n-qubit":
-        return _purity_lr_nqubit(config, times, t)
     loss = np.zeros_like(times)
-    for (beta, tau_h, lam), p in zip(
-        zip(config.beta, config.tau_h, config.couplings),
-        _per_coupling_params(config, params, params2),
-    ):
-        if config.n_env is not None and p.delta > 0:
+    for beta, tau_h, lam, d, p in _per_coupling(config, params, params2):
+        if config.n_env is not None and d > 0:
             # the coherent spike has width ~ tau_h / n_env; the splitting must
             # resolve it for the kernel's diagonal treatment to apply
-            if p.delta >= 0.5 * config.n_env * 2.0 * np.pi / tau_h:
+            if d >= 0.5 * config.n_env * 2.0 * np.pi / tau_h:
                 warnings.warn(
-                    f"splitting {p.delta} approaches the inverse coherence width "
+                    f"splitting {d} approaches the inverse coherence width "
                     f"{config.n_env * 2.0 * np.pi / tau_h:.3g}; kernel unreliable",
                     stacklevel=2,
                 )
-        loss += _coupling_contribution(beta, tau_h, lam, p, times, points_per_tauh)
+        loss += _coupling_contribution(beta, tau_h, lam, d, p, times, points_per_tauh)
     out = 1.0 - loss
     big = 1.0 - out > 0.3
     if np.any(big):
         warnings.warn("1 - P exceeds 0.3; leading order is unreliable there",
                       stacklevel=2)
-    return out if np.ndim(t) else float(out[0])
-
-
-def _purity_lr_nqubit(config: LRConfig, times, t):
-    if any(b != 2 for b in config.beta):
-        raise ValueError("the n-qubit composition is implemented for broken "
-                         "time reversal (beta=2) without local splittings")
-    if len(config.initial_purities) != len(config.couplings):
-        raise ValueError("need one initial purity per coupling")
-    terms = []
-    for lam, tau_h, p in zip(config.couplings, config.tau_h, config.initial_purities):
-        terms.append(1.0 - lam**2 * (2.0 - p) * f_heisenberg(times, tau_h))
-    out = nqubit_sum_rule(terms)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -262,15 +252,10 @@ def closed_forms(config: LRConfig, params: InitParams, t,
     splitting is far below the environment mean level spacing, fast when far
     above).  Raises naming the violated inequality when neither applies."""
     times = np.asarray(t, dtype=float)
-    if config.configuration == "n-qubit":
-        return _purity_lr_nqubit(config, np.atleast_1d(times), t)
     _, g_theta, _, _ = geometric_factors(params)
     loss = np.zeros_like(np.atleast_1d(times))
-    for (beta, tau_h, lam), p in zip(
-        zip(config.beta, config.tau_h, config.couplings),
-        _per_coupling_params(config, params, params2),
-    ):
-        reg = _regime(p.delta, tau_h)
+    for beta, tau_h, lam, d, p in _per_coupling(config, params, params2):
+        reg = _regime(d, tau_h)
         if beta == 2:
             _, _, g1, g2 = geometric_factors(p)
             if config.configuration == "one-qubit" and abs(p.theta) > 1e-12:
@@ -310,7 +295,7 @@ def sigma_purity(config: LRConfig, params: InitParams, t):
     when a spectator carries part of the state."""
     if config.beta[0] != 1:
         raise ConfigError("the purity spread is derived for GOE coupling")
-    if _regime(params.delta, config.tau_h[0]) != "degenerate":
+    if _regime(config.deltas[0], config.tau_h[0]) != "degenerate":
         raise ConfigError("the purity spread is derived in the degenerate limit")
     t = np.asarray(t, dtype=float)
     lam = config.couplings[0]
@@ -334,9 +319,7 @@ def asymptotic_purity(config: LRConfig, params: InitParams) -> float:
     if config.configuration == "spectator":
         _, g_theta, _, _ = geometric_factors(params)
         return float(g_theta / 2.0)
-    if config.configuration in ("separate", "joint"):
-        return 0.25
-    raise ValueError("no asymptotic estimate for this configuration")
+    return 0.25
 
 
 def exponentiate(p_lr, p_infinity: float):

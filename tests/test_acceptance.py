@@ -77,7 +77,7 @@ def c1_run():
     times = tau / 120 * np.union1d(np.arange(0, 241, 6), np.arange(31))
     avg = rm.monte_carlo(spec, params, times, 15, 15, qdeco.rng(101),
                          threads=THREADS)
-    cfg = lr.LRConfig.single("one-qubit", 2, tau, lam)
+    cfg = lr.LRConfig("one-qubit", (2,), (tau,), (lam,), (0.0,))
     p_lr = lr.purity_lr(cfg, params, times)
     return times, avg, p_lr, lr.exponentiate(p_lr, 0.5)
 
@@ -161,8 +161,8 @@ def test_criterion_2_sigma_scaling_and_plateau():
     avg = rm.monte_carlo(spec, lr.InitParams.equatorial(0.0, 0.0),
                          np.array([0.0, t_plateau]), 15, 14, qdeco.rng(29),
                          threads=THREADS, params_sampler=sampler)
-    plateau = lr.sigma_purity(lr.LRConfig.single("one-qubit", 1,
-                                                 2 * np.sqrt(512), lam),
+    plateau = lr.sigma_purity(lr.LRConfig("one-qubit", (1,), (2 * np.sqrt(512),),
+                                          (lam,), (0.0,)),
                               lr.InitParams.equatorial(0.0, 0.0), t_plateau)
     ratio = avg.purity_std[-1] / plateau
     ok = (-0.6 <= slope <= -0.4) and (0.8 <= ratio <= 1.2)
@@ -212,8 +212,8 @@ def _cp_distance_run(ne, lam, n_h, n_i, seed):
     tau = 2 * np.sqrt(ne)
     lam_code = lam * np.pi / np.sqrt(ne)
     spec = rm.ModelSpec("spectator", ne, "GUE", lam_code, (1.0, 0.0))
-    params = lr.InitParams(theta=np.pi / 4, phi=np.pi / 4, delta=1.0)
-    cfg = lr.LRConfig.single("spectator", 2, tau, lam_code)
+    params = lr.InitParams(theta=np.pi / 4, phi=np.pi / 4)
+    cfg = lr.LRConfig("spectator", (2,), (tau,), (lam_code,), (1.0,))
     t_max = lr_depth_time(cfg, params, 2.2)
     times = np.linspace(0.0, t_max, 56)
     _, samples = rm.monte_carlo(spec, params, times, n_h, n_i, qdeco.rng(seed),
@@ -254,12 +254,12 @@ def c5_run():
     ne, lam = 512, 0.05
     tau = 2 * np.sqrt(ne)
     spec = rm.ModelSpec("joint", ne, "GUE", (lam, lam), (0.1, 0.1))
-    params = lr.InitParams(theta=np.pi / 4, phi=np.pi / 4, delta=0.1)
+    params = lr.InitParams(theta=np.pi / 4, phi=np.pi / 4)
     # the decay rate goes as lambda^2: the grid of the lambda = 0.1 run, scaled
     times = np.linspace(0.0, 1.6 * (0.1 / lam) ** 2, 33)
     avg = rm.monte_carlo(spec, params, times, 12, 8, qdeco.rng(61),
                          params2=params, threads=THREADS)
-    cfg = lr.LRConfig("joint", (2, 2), (tau, tau), (lam, lam))
+    cfg = lr.LRConfig("joint", (2, 2), (tau, tau), (lam, lam), (0.1, 0.1))
     p_elr = lr.exponentiate(lr.purity_lr(cfg, params, times, params2=params),
                             0.25)
     c_elr, t_star = lr.concurrence_prediction(p_elr, times=times)

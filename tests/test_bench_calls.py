@@ -2,9 +2,12 @@
 renamed function or a dropped keyword would first show up as a failed
 benchmark run.  These checks parse ``bench/workloads.py`` and
 ``bench/worker.py`` (read only, never imported) and resolve each such name
-and keyword against the package."""
+and keyword against the package.  The tracer in ``bench/tracing.py`` wraps
+its targets by name too, and one that no longer resolves would silently
+read zero, so its target list is resolved as well."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -74,3 +77,19 @@ def test_bench_calls_resolve_in_package(name):
         assert {("monte_carlo", "params_sampler"),
                 ("monte_carlo", "collect_samples"),
                 ("build_env_config", "j_env")} <= keywords
+
+
+def test_bench_trace_targets_resolve_in_package():
+    # run the tracer's source in a scratch namespace (it imports only the
+    # standard library and numpy) rather than importing it from bench/
+    path = BENCH / "tracing.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    missing = []
+    for module, attrs, *_ in namespace["TARGETS"]:
+        obj = importlib.import_module(f"qdeco.{module}")
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attrs}")
+    assert not missing, f"trace targets missing from the package: {missing}"

@@ -133,12 +133,25 @@ def test_second_qubit_prediction_uses_its_own_params():
     table = xp.run(cfg)[0]["rmt-decay"]
     t = table.column("t")
     tau = 2.0 * math.sqrt(8)
-    lrc = lr.LRConfig("separate", (2, 2), (tau, tau), (0.05, 0.05), n_env=8)
+    lrc = lr.LRConfig("separate", (2, 2), (tau, tau), (0.05, 0.05), (0.5, 0.0),
+                      n_env=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = lr.purity_lr(lrc, lr.InitParams(theta=0.3, phi=cfg.phi, delta=0.5),
-                            t, params2=lr.InitParams(theta=0.3, delta=0.0))
+        want = lr.purity_lr(lrc, lr.InitParams(theta=0.3, phi=cfg.phi), t,
+                            params2=lr.InitParams(theta=0.3))
     assert np.max(np.abs(table.column("analytic_P") - want)) < 1e-14
+
+
+def test_spectator_splitting_moves_no_purity():
+    # the spectator is uncoupled, so its splitting is a local unitary: the
+    # prediction reads only the coupled qubit's splitting, and the simulated
+    # purity and concurrence do not see it either
+    runs = [xp.run(tiny_decay_cfg(delta=(0.4,), delta2=d2))[0]["rmt-decay"]
+            for d2 in (0.0, 0.9)]
+    for name in ("analytic_P", "elr_P", "analytic_C"):
+        assert runs[0].column(name).tobytes() == runs[1].column(name).tobytes()
+    for name in ("P_mean", "C_mean"):
+        assert np.max(np.abs(runs[0].column(name) - runs[1].column(name))) < 1e-12
 
 
 # one tiny config of each runner kind
@@ -408,6 +421,14 @@ def test_cli_run_and_exit_codes(tmp_path):
                             "fit_window=nan,inf")]
     cases += [("ki-decay", f"{ring} field=nan,1,1"),
               ("ki-decay", f"{ring} j_prime=inf")]
+    # finite numbers so large that the models or predictions overflow
+    cases += [("rmt-decay", f"{tiny} {value}")
+              for value in ("t_max_over_tauh=1e300", "coupling=1e308",
+                            "delta=1e308")]
+    cases += [("ki-decay", f"{ring} {value}")
+              for value in ("j_env=1e308", "j_prime=1e308", "field=1e200,1,0")]
+    cases += [("rmt-sigma", "ensemble=GOE configuration=one-qubit n_env_list=8,16 "
+               "n_hamiltonians=1 n_initials=2 sigma_time_factor=1e300")]
     unital = "n_realizations=1 n_times=3"
     cases += [("unitality", f"{unital} n_env_list=nan"),
               ("unitality", f"{unital} n_env_list=inf")]
@@ -442,6 +463,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     # the register cap refuses before any 2^L allocation
     too_big = runner.invoke(main, ["ki-decay", "--set", "q_env=40"])
     assert too_big.exit_code == 3, too_big.output
+    # as does the quadrature cap, before any 2e9-point grid
+    long = runner.invoke(main, ["rmt-decay", *[arg for value in tiny.split()
+                                               for arg in ("--set", value)],
+                                "--set", "t_max_over_tauh=1e6"])
+    assert long.exit_code == 3, long.output
+    assert "quadrature grid" in long.output
 
 
 @pytest.mark.parametrize("kind, values, key", [

@@ -29,8 +29,8 @@ def dense_floquet(model):
     dim = model.dim
     h_ising = np.zeros((dim, dim), dtype=complex)
     axis_op = SZ if model.axis == "z" else SX
-    for j, k, strength in model.pairs:
-        h_ising += strength * one_site(axis_op, j, model.num_spins) \
+    for j, k in zip(*np.nonzero(np.triu(model.couplings, 1))):
+        h_ising += model.couplings[j, k] * one_site(axis_op, j, model.num_spins) \
             @ one_site(axis_op, k, model.num_spins)
     u = sla.expm(-1j * h_ising)
     for j in range(model.num_spins):
@@ -100,7 +100,10 @@ def test_kernels_match_dense_on_basis_states():
         assert all(not np.iscomplexobj(m)
                    for _, _, m in _kernels.fuse(rotations, size))
     pairs = [(0, 1, 0.7), (1, 3, -0.4), (0, 5, 0.3), (4, 2, 1.1)]
-    phase = _kernels.ising_phase(L, pairs)
+    couplings = np.zeros((L, L))
+    for j, k, s in pairs:
+        couplings[j, k] = couplings[k, j] = s
+    phase = _kernels.ising_phase(couplings)
     hz = sum(s * one_site(SZ, j, L) @ one_site(SZ, k, L) for j, k, s in pairs)
     hx = sum(s * one_site(SX, j, L) @ one_site(SX, k, L) for j, k, s in pairs)
     # along z the phase is the diagonal; along x it acts in the H basis
@@ -111,7 +114,7 @@ def test_kernels_match_dense_on_basis_states():
     terms = g.uniform(-3, 3, L)
     terms[2] = 0.0
     hzt = hz + sum(t * one_site(SZ, j, L) for j, t in enumerate(terms))
-    assert np.max(np.abs(_kernels.ising_phase(L, pairs, terms)
+    assert np.max(np.abs(_kernels.ising_phase(couplings, terms)
                          - np.diag(sla.expm(-1j * hzt)))) < 1e-12
 
 

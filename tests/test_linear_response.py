@@ -7,12 +7,13 @@ import scipy.linalg as sla
 from qdeco import linear_response as lr
 from qdeco import qstate
 from qdeco import rmt_models as rm
+from qdeco.errors import ConfigError
 
 TAU = 6.0
 
 
-def cfg_single(configuration, beta, lam=0.01, tau=TAU):
-    return lr.LRConfig.single(configuration, beta, tau, lam)
+def cfg_single(configuration, beta, lam=0.01, tau=TAU, delta=0.0, n_env=None):
+    return lr.LRConfig(configuration, (beta,), (tau,), (lam,), (delta,), n_env=n_env)
 
 
 def test_f_heisenberg_values():
@@ -51,13 +52,14 @@ def test_geometric_factor_monotone_in_theta():
         assert np.all(np.diff(g2s) >= -1e-12)
 
 
-def dense_correlations(params, taus):
-    """Re C1, S1 and S1' of the coupled qubit, from its initial state (the
-    Schmidt weights on the (phi, eta) pair) evolved densely."""
+def dense_correlations(params, delta, taus):
+    """Re C1, S1 and S1' of the coupled qubit with splitting ``delta``, from
+    its initial state (the Schmidt weights on the (phi, eta) pair) evolved
+    densely."""
     a, b = qstate.schmidt_pair(params.phi, params.eta)
     rho1 = (np.cos(params.theta) ** 2 * np.outer(a, a.conj())
             + np.sin(params.theta) ** 2 * np.outer(b, b.conj()))
-    h1 = np.diag([params.delta / 2, -params.delta / 2])
+    h1 = np.diag([delta / 2, -delta / 2])
     out = []
     for t in taus:
         u = sla.expm(-1j * h1 * t)
@@ -68,35 +70,34 @@ def dense_correlations(params, taus):
     return np.array(out).T
 
 
-def kernel_weights(params, taus):
+def kernel_weights(params, d, taus):
     """What the purity kernel integrates, from the geometric factors:
     g1 + g2 cos(Delta tau) = Re C1 - S1, and for time-reversal-invariant
     couplings g1 - (1 - g2) cos(Delta tau - 2 eta) = 1 - S1'."""
     _, _, g1, g2 = lr.geometric_factors(params)
-    d = params.delta
     return (g1 + g2 * np.cos(d * taus),
             g1 - (1 - g2) * np.cos(d * taus - 2 * params.eta))
 
 
 def test_correlations_eigenstate_and_bell():
     tau = np.linspace(0, 7, 30)
-    eigen = lr.InitParams(theta=0.0, phi=0.0, delta=1.3)
-    re_c1, s1, _ = dense_correlations(eigen, tau)
+    eigen = lr.InitParams(theta=0.0, phi=0.0)
+    re_c1, s1, _ = dense_correlations(eigen, 1.3, tau)
     assert np.allclose(s1, 1.0)
-    assert np.allclose(kernel_weights(eigen, tau)[0], re_c1 - 1.0)
+    assert np.allclose(kernel_weights(eigen, 1.3, tau)[0], re_c1 - 1.0)
     # Bell pair with degenerate splitting: 1 - S1' is gamma independent = 1/2
     for gamma in (-0.8, 0.0, 0.4, 1.2):
-        p = lr.InitParams.equatorial(np.pi / 4, gamma, 0.0)
-        _, _, s1p = dense_correlations(p, tau)
+        p = lr.InitParams.equatorial(np.pi / 4, gamma)
+        _, _, s1p = dense_correlations(p, 0.0, tau)
         assert np.allclose(1 - s1p, 0.5)
-        assert np.allclose(kernel_weights(p, tau)[1], 0.5)
+        assert np.allclose(kernel_weights(p, 0.0, tau)[1], 0.5)
 
 
 def test_correlations_vs_dense_qubit():
-    params = lr.InitParams(theta=0.31, phi=0.52, eta=0.83, delta=1.7)
+    params = lr.InitParams(theta=0.31, phi=0.52, eta=0.83)
     taus = np.linspace(0.0, 9.0, 31)
-    re_c1, s1, s1p = dense_correlations(params, taus)
-    weights, weights_tri = kernel_weights(params, taus)
+    re_c1, s1, s1p = dense_correlations(params, 1.7, taus)
+    weights, weights_tri = kernel_weights(params, 1.7, taus)
     assert np.max(np.abs(re_c1 - s1 - weights)) < 1e-10
     assert np.max(np.abs(1 - s1p - weights_tri)) < 1e-10
 
@@ -122,7 +123,7 @@ def test_purity_lr_t0_and_validation():
 
 def test_purity_lr_matches_degenerate_closed_form():
     cfg = cfg_single("one-qubit", 2)
-    p = lr.InitParams(theta=0.0, phi=0.3, delta=0.0)
+    p = lr.InitParams(theta=0.0, phi=0.3)
     t = np.linspace(0.0, 2 * TAU, 9)
     quad = lr.purity_lr(cfg, p, t)
     closed = lr.closed_forms(cfg, p, t)
@@ -141,22 +142,20 @@ def test_purity_lr_matches_goe_closed_form():
 
 def test_purity_lr_limits_against_fast_form():
     # splitting far above the mean level spacing approaches the fast form
-    cfg = cfg_single("spectator", 2)
+    cfg = cfg_single("spectator", 2, delta=1000.0 / TAU)
     t = np.linspace(0.5, 2 * TAU, 8)
-    p = lr.InitParams(theta=0.3, phi=0.4, delta=1000.0 / TAU)
+    p = lr.InitParams(theta=0.3, phi=0.4)
     quad = lr.purity_lr(cfg, p, t, points_per_tauh=20000)
     closed = lr.closed_forms(cfg, p, t)
     assert np.max(np.abs((1 - quad) - (1 - closed)) / (1 - closed)) < 0.01
 
 
 def test_closed_forms_regime_errors():
-    cfg = cfg_single("spectator", 2)
-    p = lr.InitParams(theta=0.3, phi=0.4, delta=1.0 / TAU)
+    p = lr.InitParams(theta=0.3, phi=0.4)
     with pytest.raises(ValueError, match="violates"):
-        lr.closed_forms(cfg, p, 1.0)
+        lr.closed_forms(cfg_single("spectator", 2, delta=1.0 / TAU), p, 1.0)
     with pytest.raises(ValueError):
-        lr.closed_forms(cfg_single("spectator", 1), lr.InitParams(
-            theta=0.3, phi=0.4, delta=100.0 / TAU), 1.0)
+        lr.closed_forms(cfg_single("spectator", 1, delta=100.0 / TAU), p, 1.0)
 
 
 def test_closed_forms_named_values():
@@ -169,38 +168,35 @@ def test_closed_forms_named_values():
     assert np.max(np.abs((1 - bell) - 1.5 * 0.02**2 * f)) < 1e-14
     assert np.max(np.abs((1 - sep) - 0.02**2 * f)) < 1e-14
     # eigenstate in the fast limit: purely linear decay 2 lam^2 t tau
-    cfg1 = cfg_single("one-qubit", 2, lam=0.02)
-    fast = lr.closed_forms(cfg1, lr.InitParams(theta=0.0, phi=0.0,
-                                               delta=100.0 / TAU), t)
+    cfg1 = cfg_single("one-qubit", 2, lam=0.02, delta=100.0 / TAU)
+    fast = lr.closed_forms(cfg1, lr.InitParams(theta=0.0, phi=0.0), t)
     assert np.max(np.abs((1 - fast) - 2 * 0.02**2 * t * TAU)) < 1e-14
 
 
 def test_fast_always_above_degenerate():
     t = np.linspace(0.01, 3 * TAU, 40)
     for theta, phi in ((0.0, 0.3), (0.4, 0.9), (np.pi / 4, np.pi / 4)):
-        cfg = cfg_single("spectator", 2)
-        deg = lr.closed_forms(cfg, lr.InitParams(theta=theta, phi=phi, delta=0.0), t)
-        fast = lr.closed_forms(cfg, lr.InitParams(theta=theta, phi=phi,
-                                                  delta=1e4 / TAU), t)
+        p = lr.InitParams(theta=theta, phi=phi)
+        deg = lr.closed_forms(cfg_single("spectator", 2), p, t)
+        fast = lr.closed_forms(cfg_single("spectator", 2, delta=1e4 / TAU), p, t)
         assert np.all(fast - deg > -1e-15)
         assert np.all(fast[t > TAU / 2] > deg[t > TAU / 2])
 
 
 def test_separate_and_joint_forms():
     t = np.linspace(0.0, 4.0, 5)
-    p1 = lr.InitParams(theta=0.3, phi=0.2, delta=0.0)
-    p2 = lr.InitParams(theta=0.3, phi=0.8, delta=0.0)
-    cfg = lr.LRConfig("separate", (2, 2), (4.0, 7.0), (0.01, 0.02))
+    p1 = lr.InitParams(theta=0.3, phi=0.2)
+    p2 = lr.InitParams(theta=0.3, phi=0.8)
+    cfg = lr.LRConfig("separate", (2, 2), (4.0, 7.0), (0.01, 0.02), (0.0, 0.0))
     out = lr.closed_forms(cfg, p1, t, params2=p2)
     _, gt, _, _ = lr.geometric_factors(p1)
     expect = 1 - (2 - gt) * (0.01**2 * lr.f_heisenberg(t, 4.0)
                              + 0.02**2 * lr.f_heisenberg(t, 7.0))
     assert np.max(np.abs(out - expect)) < 1e-14
     # joint with one degenerate and one fast splitting
-    cfj = lr.LRConfig("joint", (2, 2), (TAU, TAU), (0.01, 0.02))
-    p2f = lr.InitParams(theta=0.3, phi=0.8, delta=1e3 / TAU)
-    outj = lr.closed_forms(cfj, p1, t, params2=p2f)
-    _, _, g1b, g2b = lr.geometric_factors(p2f)
+    cfj = lr.LRConfig("joint", (2, 2), (TAU, TAU), (0.01, 0.02), (0.0, 1e3 / TAU))
+    outj = lr.closed_forms(cfj, p1, t, params2=p2)
+    _, _, g1b, g2b = lr.geometric_factors(p2)
     expectj = 1 - 0.01**2 * (2 - gt) * lr.f_heisenberg(t, TAU) \
         - 0.02**2 * (g1b * lr.f_heisenberg(t, TAU) + 2 * TAU * g2b * t)
     assert np.max(np.abs(outj - expectj)) < 1e-14
@@ -210,16 +206,15 @@ def test_separate_and_joint_forms():
 
 
 def test_sigma_purity():
-    cfg = lr.LRConfig.single("one-qubit", 1, TAU, 0.01)
+    cfg = cfg_single("one-qubit", 1)
     t = 3.0
     base = 4.0 / (3 * np.sqrt(5.0)) * 0.01**2 * t**2
     assert abs(lr.sigma_purity(cfg, lr.InitParams(), t) - base) < 1e-15
-    cfgs = lr.LRConfig.single("spectator", 1, TAU, 0.01)
+    cfgs = cfg_single("spectator", 1)
     assert lr.sigma_purity(cfgs, lr.InitParams(theta=np.pi / 4), t) < 1e-12
     assert abs(lr.sigma_purity(cfgs, lr.InitParams(theta=0.0), t) - base) < 1e-15
     with pytest.raises(ValueError):
-        lr.sigma_purity(lr.LRConfig.single("one-qubit", 2, TAU, 0.01),
-                        lr.InitParams(), t)
+        lr.sigma_purity(cfg_single("one-qubit", 2), lr.InitParams(), t)
 
 
 def test_sigma_coefficient_from_bloch_average():
@@ -239,7 +234,7 @@ def test_asymptotic_purity():
     assert abs(lr.asymptotic_purity(cfg_single("spectator", 2), bell) - 0.25) < 1e-12
     sep = lr.InitParams(theta=0.0)
     assert abs(lr.asymptotic_purity(cfg_single("spectator", 2), sep) - 0.5) < 1e-12
-    cfgj = lr.LRConfig("joint", (2, 2), (TAU, TAU), (0.01, 0.01))
+    cfgj = lr.LRConfig("joint", (2, 2), (TAU, TAU), (0.01, 0.01), (0.0, 0.0))
     assert lr.asymptotic_purity(cfgj, bell) == 0.25
 
 
@@ -279,14 +274,12 @@ def test_nqubit_sum_rule():
     assert np.allclose(1 - total, 3 * (1 - p))
 
 
-def test_nqubit_lr_matches_composed_formula():
-    cfg = lr.LRConfig("n-qubit", (2,) * 3, (TAU,) * 3, (0.01, 0.02, 0.015),
-                      initial_purities=(0.5, 0.5, 0.5))
-    t = np.linspace(0.0, TAU, 6)
-    out = lr.purity_lr(cfg, lr.InitParams(), t)
-    expect = 1 - lr.f_heisenberg(t, TAU) * sum(
-        l**2 * 1.5 for l in (0.01, 0.02, 0.015))
-    assert np.max(np.abs(out - expect)) < 1e-12
+def test_lrconfig_refuses_nqubit_layout():
+    # one initial state cannot describe n coupled qubits: an n-qubit register
+    # composes from one-qubit predictions through the sum rule instead
+    with pytest.raises(ConfigError, match="nqubit_sum_rule"):
+        lr.LRConfig("n-qubit", (2,) * 3, (TAU,) * 3, (0.01, 0.02, 0.015),
+                    (0.0,) * 3)
 
 
 def test_rmtki_prediction():
@@ -305,20 +298,23 @@ def test_rmtki_prediction():
 
 def test_lrconfig_validation():
     with pytest.raises(ValueError):
-        lr.LRConfig("joint", (2, 2), (3.0, 4.0), (0.1, 0.1))  # taus differ
+        lr.LRConfig("joint", (2, 2), (3.0, 4.0), (0.1, 0.1), (0.0, 0.0))  # taus differ
     with pytest.raises(ValueError):
-        lr.LRConfig("spectator", (2, 2), (3.0, 3.0), (0.1, 0.1))
+        lr.LRConfig("spectator", (2, 2), (3.0, 3.0), (0.1, 0.1), (0.0, 0.0))
     with pytest.raises(ValueError):
-        lr.LRConfig.single("nowhere", 2, 3.0, 0.1)
+        lr.LRConfig("separate", (2, 2), (3.0, 3.0), (0.1, 0.1), (0.0,))
     with pytest.raises(ValueError):
-        lr.LRConfig.single("spectator", 3, 3.0, 0.1)
+        cfg_single("nowhere", 2, 0.1, 3.0)
+    with pytest.raises(ValueError):
+        cfg_single("spectator", 3, 0.1, 3.0)
 
 
 def test_splitting_near_coherence_width_warns():
     # the analytic diagonal treatment needs the splitting to sit well below
     # the inverse width of the coherent spike (~ n_env / tau_H)
-    cfg = lr.LRConfig.single("one-qubit", 2, TAU, 0.001, n_env=16)
-    p = lr.InitParams(theta=0.0, phi=0.3, delta=0.9 * 16 * 2 * np.pi / TAU)
+    cfg = cfg_single("one-qubit", 2, 0.001, delta=0.9 * 16 * 2 * np.pi / TAU,
+                     n_env=16)
+    p = lr.InitParams(theta=0.0, phi=0.3)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         lr.purity_lr(cfg, p, np.array([0.5]))
