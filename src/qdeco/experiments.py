@@ -361,16 +361,19 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     # before any Monte Carlo run
     preds = [lr.sigma_purity(_lr_config(spec), params, t_fix)
              for spec in specs]
+    if min(preds) <= 0.0:
+        # a zero coupling, or one whose square underflows, predicts no
+        # spread, and the plateau ratio would divide by that zero
+        raise ConfigError("the purity spread needs a nonzero coupling")
     if cfg.n_hamiltonians * cfg.n_initials < 2:
         raise ConfigError("the purity spread needs at least two realizations "
                           "per bath size (n_hamiltonians x n_initials)")
     rows = []
     for n, spec, pred in zip(sizes, specs, preds):
-        fixed = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                               cfg.n_initials, gen, threads=cfg.threads)
-        random_g = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                                  cfg.n_initials, gen, threads=cfg.threads,
-                                  params_sampler=sampler)
+        # both angle families from the same Hamiltonians, fixed angle first
+        fixed, random_g = rm.monte_carlo(
+            spec, params, times, cfg.n_hamiltonians, cfg.n_initials, gen,
+            threads=cfg.threads, params_sampler=(None, sampler))
         rows.append((n, fixed.purity_std[-1], random_g.purity_std[-1], pred))
     arr = np.array(rows)
     table = _table(["n_env", "sigma_fixed_gamma", "sigma_random_gamma",

@@ -400,27 +400,43 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     condition.  Deterministic for a fixed generator seed, independent of
     ``threads``.  With ``collect_samples`` it also returns every sample's
     purity (and, for two qubits, concurrence) series, concatenated.
+
+    ``params_sampler`` may also be a sequence of initial-state families, each
+    a sampler or None for the fixed ``params``.  Each Hamiltonian's generator
+    then draws n_initials states per family, in sequence order, and one
+    ``Propagator.states`` call evolves them all; the result is a list of one
+    average per family.  So the first family averages exactly what a
+    single-family call with the same generator does.  ``collect_samples``
+    takes a single family only (ConfigError otherwise).
     """
     if n_hamiltonians < 1 or n_initials < 1:
         raise ConfigError("realization counts must be at least 1")
+    several = not (params_sampler is None or callable(params_sampler))
+    families = list(params_sampler) if several else [params_sampler]
+    if collect_samples and several:
+        raise ConfigError("collect_samples takes a single initial-state family")
     t = np.asarray(times, dtype=float)
     seeds = gen.spawn(n_hamiltonians)
+    samplers = [s for s in families for _ in range(n_initials)]
 
     def one_hamiltonian(g):
         prop = Propagator(spec, g)
-        psi0s = np.empty((n_initials, spec.total_dim), dtype=complex)
-        for i in range(n_initials):
-            p = params_sampler(g) if params_sampler is not None else params
+        psi0s = np.empty((len(samplers), spec.total_dim), dtype=complex)
+        for i, sampler in enumerate(samplers):
+            p = sampler(g) if sampler is not None else params
             psi0s[i] = initial_state(spec, central_state(spec, p, params2), g)
-        return _measure(spec, prop.states(psi0s, t), t)
+        states = np.split(prop.states(psi0s, t), len(families), axis=1)
+        return [_measure(spec, s, t) for s in states]
 
     batches = _map(one_hamiltonian, seeds, threads)
-    avg = average(batches)
+    avgs = [average(family) for family in zip(*batches)]
+    if several:
+        return avgs
     if collect_samples:
         names = ("purity", "concurrence") if spec.num_qubits == 2 else ("purity",)
-        return avg, {k: np.concatenate([getattr(tr, k) for tr in batches])
-                     for k in names}
-    return avg
+        return avgs[0], {k: np.concatenate([getattr(tr[0], k) for tr in batches])
+                         for k in names}
+    return avgs[0]
 
 
 def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,

@@ -15,6 +15,7 @@ import qdeco.experiments as xp
 from qdeco import kicked_ising as ki
 from qdeco import linear_response as lr
 from qdeco import metrics, qstate
+from qdeco import rmt_models as rm
 from qdeco.cli import main
 from qdeco.errors import ConfigError
 from qdeco.trajectory import average
@@ -337,6 +338,24 @@ def test_rmt_sigma_runner_small():
     assert "loglog_slope_fixed_gamma" in summary
 
 
+def test_rmt_sigma_diagonalizes_each_hamiltonian_once(monkeypatch):
+    # both angle families are evolved from one propagator per Hamiltonian
+    built = []
+
+    class Counting(rm.Propagator):
+        def __init__(self, *args, **kw):
+            built.append(args[0].env_dims)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(rm, "Propagator", Counting)
+    cfg = xp.ExperimentConfig(kind="rmt-sigma", configuration="one-qubit",
+                              ensemble="GOE", coupling=1e-3, gamma=0.0,
+                              n_env_list=(8, 16), n_hamiltonians=3,
+                              n_initials=2, seed=6)
+    xp.run(cfg)
+    assert built == [(8,)] * 3 + [(16,)] * 3
+
+
 def test_unitality_runner_small():
     cfg = xp.ExperimentConfig(kind="unitality", configuration="one-qubit",
                               coupling=0.1, n_env_list=(8, 16),
@@ -451,7 +470,13 @@ def test_cli_run_and_exit_codes(tmp_path):
               ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=256 delta=0.01"),
               ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16 delta=1"),
               # a spread of one realization is zero, and its log NaN
-              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16,32")]
+              ("rmt-sigma", f"{sigma} ensemble=GOE n_env_list=16,32"),
+              # a zero coupling, or one whose square underflows, predicts a
+              # zero spread: no plateau ratio
+              ("rmt-sigma", "ensemble=GOE configuration=one-qubit "
+               "n_env_list=16,32 n_hamiltonians=2 n_initials=2 coupling=0"),
+              ("rmt-sigma", "ensemble=GOE configuration=one-qubit "
+               "n_env_list=16,32 n_hamiltonians=2 n_initials=2 coupling=1e-200")]
     for kind, values in cases:
         args = [arg for value in values.split() for arg in ("--set", value)]
         bad_value = runner.invoke(main, [kind, *args])

@@ -268,6 +268,50 @@ def test_monte_carlo_deterministic_and_thread_invariant():
     assert np.array_equal(a.purity_std, c.purity_std)
 
 
+def _random_angle(g):
+    return lr.InitParams.equatorial(0.0, np.arcsin(g.uniform(-1.0, 1.0)))
+
+
+def test_monte_carlo_families_share_hamiltonians():
+    spec = rm.ModelSpec("one-qubit", 12, "GOE", 0.1)
+    params = lr.InitParams.equatorial(0.0, 0.0)
+    times = np.linspace(0.0, 3.0, 4)
+    fields = ("purity", "purity_std", "entropy", "offdiag")
+
+    def run(families, threads=1, **kw):
+        return rm.monte_carlo(spec, params, times, 3, 2, qdeco.rng(9),
+                              threads=threads, params_sampler=families, **kw)
+
+    both = run((None, _random_angle))
+    assert both[0].n_realizations == both[1].n_realizations == 3 * 2
+    # the first family's draws come first, as in a single-family call
+    fixed = run(None)
+    for name in fields:
+        assert getattr(both[0], name).tobytes() == getattr(fixed, name).tobytes()
+    first = run([_random_angle, None])[0]
+    assert first.purity.tobytes() == run(_random_angle).purity.tobytes()
+    assert not np.array_equal(both[0].purity, both[1].purity)
+    for a, b in zip(both, run((None, _random_angle), threads=2)):
+        for name in fields:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # one sampler with collect_samples: the average and every sample, as the
+    # unbatched loop over Hamiltonians and initial states gives them
+    avg, samples = run(_random_angle, collect_samples=True)
+    assert avg.purity.tobytes() == run(_random_angle).purity.tobytes()
+    want = []
+    for g in qdeco.rng(9).spawn(3):
+        prop = rm.Propagator(spec, g)
+        for _ in range(2):
+            central = rm.central_state(spec, _random_angle(g))
+            psi0 = rm.initial_state(spec, central, g)
+            want.append(rm._measure(spec, prop.states(psi0, times), times).purity)
+    assert set(samples) == {"purity"} and samples["purity"].shape == (6, 4)
+    assert np.max(np.abs(samples["purity"] - np.array(want))) < 1e-12
+    # several families keep no per-sample series
+    with pytest.raises(ConfigError):
+        run((None, _random_angle), collect_samples=True)
+
+
 def test_spectator_depends_only_on_reduced_state():
     # same coupled-qubit reduction through different spectator bases gives
     # the same averaged purity with shared draws
