@@ -56,8 +56,9 @@ def fuse(gates, size: int = GROUP):
         if all(g is None for g in run):
             continue
         m = np.eye(1)
-        for g in run:
-            m = np.kron(np.eye(2) if g is None else g, m)
+        for g in run:  # np.kron(g, m)'s products, without its overhead
+            g = np.eye(2) if g is None else g
+            m = (g[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), -1)
         groups.append((lo, len(run), m))
     return groups
 

@@ -365,6 +365,13 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
         # a zero coupling, or one whose square underflows, predicts no
         # spread, and the plateau ratio would divide by that zero
         raise ConfigError("the purity spread needs a nonzero coupling")
+    damping = math.cos(2.0 * params.theta) ** 2
+    if cfg.configuration == "spectator" and damping < np.finfo(float).eps:
+        # at theta = pi/4 the spectator's spread vanishes at leading order;
+        # a damping below eps is the rounding of theta, not a prediction
+        raise ConfigError(
+            f"the spectator's purity spread vanishes at theta = pi/4 "
+            f"(cos^2(2 theta) = {damping:.2g}): no plateau prediction to compare")
     if cfg.n_hamiltonians * cfg.n_initials < 2:
         raise ConfigError("the purity spread needs at least two realizations "
                           "per bath size (n_hamiltonians x n_initials)")

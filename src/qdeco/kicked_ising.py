@@ -140,6 +140,19 @@ def split_kick(u):
     return s * np.array([a, b]), r, np.array([1.0, np.conj(a * b)])
 
 
+def _split_site(b, h):
+    """(frame gate f_j, real rotation r_j, Ising-axis term t_j) of one
+    site's kick with Cartesian field ``b``; ``h`` is the Hadamard for axis
+    'x', else None.  ``None`` stands for an identity gate."""
+    u = kick_matrix(b)
+    l, r, c = split_kick(u if h is None else h @ u @ h)
+    identity = h is None and np.all(l == 1.0)
+    frame = None if identity else np.diag(l) if h is None else h * l
+    # a kick has unit determinant, so c_j l_j = exp(-i t_j s_j)
+    ang = np.angle(c * l)
+    return frame, None if r[1, 0] == 0.0 else r, 0.5 * (ang[1] - ang[0])
+
+
 class _Period:
     """One period in a per-site frame of the Ising-axis basis.
 
@@ -154,17 +167,11 @@ class _Period:
 
     def __init__(self, model: KIModel):
         h = _kernels.HADAMARD if model.axis == "x" else None
-        self.frame, rotations, terms = [], [], []
-        for b in model.fields:
-            u = kick_matrix(b)
-            l, r, c = split_kick(u if h is None else h @ u @ h)
-            rotations.append(None if r[1, 0] == 0.0 else r)
-            identity = h is None and np.all(l == 1.0)
-            self.frame.append(None if identity else
-                              np.diag(l) if h is None else h * l)
-            # a kick has unit determinant, so c_j l_j = exp(-i t_j s_j)
-            ang = np.angle(c * l)
-            terms.append(0.5 * (ang[1] - ang[0]))
+        # sites with the same field (to the bit) share one split kick
+        distinct = {b.tobytes(): b for b in model.fields}
+        parts = {key: _split_site(b, h) for key, b in distinct.items()}
+        self.frame, rotations, terms = (
+            list(x) for x in zip(*[parts[b.tobytes()] for b in model.fields]))
         self.phase = _kernels.ising_phase(model.couplings, terms)
         self.kicks = _kernels.fuse(rotations)
         self.enter = _kernels.fuse([None if f is None else f.conj().T

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, ResourceLimitError
 from .metrics import werner_curve
@@ -147,6 +146,13 @@ def geometric_factors(params: InitParams):
 MAX_GRID_POINTS = 1 << 20
 
 
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x from x[0], starting at 0:
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0)``'s arithmetic,
+    so the values match it bit for bit."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
     """integral_0^t (t-u) b2(u/tau_h) [g1 + g2 cos(delta u)] du at each t."""
     t_max = times.max()
@@ -160,8 +166,8 @@ def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
     base = np.linspace(0.0, t_max, n)
     grid = np.union1d(np.union1d(base, times), [tau_h] if tau_h < t_max else [])
     f = b2(beta, grid / tau_h) * (g1 + g2 * np.cos(delta * grid))
-    c0 = np.concatenate([[0.0], cumulative_trapezoid(f, grid)])
-    c1 = np.concatenate([[0.0], cumulative_trapezoid(grid * f, grid)])
+    c0 = cumulative_trapezoid(f, grid)
+    c1 = cumulative_trapezoid(grid * f, grid)
     idx = np.searchsorted(grid, times)
     return times * c0[idx] - c1[idx]
 

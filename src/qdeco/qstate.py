@@ -8,8 +8,9 @@ qubits.  Density matrices are plain complex square arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg.blas import zherk
 
 # zherk costs about 15 us more per call than a GEMM but skips the conjugated
 # copy; on two cores it was the faster from 2^15 amplitudes (16 x 4096 kept
@@ -37,10 +38,13 @@ def validate_mask(mask: int, num_qubits: int) -> None:
         )
 
 
-def _axes(num_qubits: int, mask: int):
+@lru_cache
+def _axes(num_qubits: int, mask: int) -> tuple[int, ...]:
     """Axes of a state's ``(2,)*L`` view, whose axis a holds qubit L-1-a:
-    the masked qubits first, then the rest, each from the highest bit down."""
-    return sorted(range(num_qubits), key=lambda a: not mask >> (num_qubits - 1 - a) & 1)
+    the masked qubits first, then the rest, each from the highest bit down.
+    Cached: a trajectory reduces with one mask at every recorded step."""
+    return tuple(sorted(range(num_qubits),
+                        key=lambda a: not mask >> (num_qubits - 1 - a) & 1))
 
 
 def subsystem_matrix(psi, mask: int):
@@ -79,6 +83,7 @@ def partial_trace(psi, keep: int):
     m = subsystem_matrix(psi, keep)
     if m.size < _HERK_MIN:
         return m @ m.conj().T
+    from scipy.linalg.blas import zherk
     if m.flags.f_contiguous:
         rho = zherk(1.0, m)
     else:  # the transpose is F-ordered: m^T^dagger m^T = conj(m m^dagger)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import ConfigError
 
@@ -122,6 +121,7 @@ def _b2_weighted_integral(beta: int, t: float, tau_h: float) -> float:
     """integral_0^t (t - u) b2(u / tau_h) du by adaptive quadrature."""
     if t == 0.0:
         return 0.0
+    from scipy import integrate
     pts = [tau_h] if 0.0 < tau_h < t else None
     val, _ = integrate.quad(
         lambda u: (t - u) * b2(beta, u / tau_h),
@@ -154,6 +154,7 @@ def b2_double_integral(beta: int, t, tau_h: float):
 
 def fit_brody(spacings) -> float:
     """Maximum-likelihood Brody parameter of a set of spacings."""
+    from scipy import optimize, special
     s = np.asarray(spacings, dtype=float)
     s = s[s > 0]
     s = s / s.mean()

@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
-from scipy.linalg.blas import dgemm, zgemm
 
 from . import metrics, qstate
 from .errors import ConfigError, ResourceLimitError
@@ -145,6 +143,7 @@ def _qubit_energies(delta: float) -> np.ndarray:
 
 
 def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
+    from scipy.linalg import eigvalsh
     ens = EnsembleSpec(spec.ensemble, dim)
     raw = eigvalsh(sample_matrix(ens, gen), driver="evd")  # as numpy's eigvalsh
     if spec.env_spectrum == "raw":
@@ -238,6 +237,7 @@ def build_hamiltonian(spec: ModelSpec, gen):
 
 def evolve(h, psi0, times):
     """exp(-i H t) psi0 on every time of the grid, via one diagonalization."""
+    from scipy.linalg import eigh
     h = np.asarray(h)
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise ValueError("Hamiltonian is not Hermitian")
@@ -258,6 +258,7 @@ class _Block:
     """Eigendecomposed sub-Hamiltonian acting on a group of state axes."""
 
     def __init__(self, matrix, axes):
+        from scipy.linalg import eigh
         # evd is about twice as fast as evr on real blocks, slower on complex
         self.energies, self.q = eigh(
             matrix, driver="evr" if np.iscomplexobj(matrix) else "evd")
@@ -301,6 +302,7 @@ class Propagator:
         imaginary part for a real Q.  Trailing block axes make that a
         reshape and the GEMM writes straight into dst; other axes go through
         transposed copies, so dst may be src."""
+        from scipy.linalg.blas import dgemm, zgemm
         shape = src.shape[:-1] + tuple(self.dims)
         for b in self.blocks:
             axes = [a + src.ndim - 1 for a in b.axes]

@@ -197,6 +197,32 @@ def test_byte_identical_outputs(tmp_path):
         assert runs[0] == runs[1], kind
 
 
+def test_runs_import_only_the_scipy_they_call(tmp_path):
+    # scipy is imported where it is called: a small kicked-Ising run loads
+    # none of it, a GUE decay run only scipy.linalg (its eigh and GEMMs)
+    script = (
+        "import ast, sys\n"
+        "import qdeco.experiments as xp\n"
+        "kind, kw = ast.literal_eval(sys.argv[2])\n"
+        "cfg = xp.ExperimentConfig(kind=kind, seed=3, out=sys.argv[1], **kw)\n"
+        "xp.write_outputs(cfg, *xp.run(cfg))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+    src = str(Path(xp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = {}
+    for kind, kw in (("ki-decay", TINY["ki-decay"]),
+                     ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE"))):
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / kind), repr((kind, kw))],
+            env=env, check=True, capture_output=True, text=True)
+        loaded[kind] = set(run.stdout.split())
+    assert loaded["ki-decay"] == set()
+    assert "scipy.linalg" in loaded["rmt-decay"]
+    for name in ("scipy.integrate", "scipy.optimize", "scipy.special"):
+        assert name not in loaded["rmt-decay"]
+
+
 def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
     # The kicked-Ising time evolutions match byte for byte across BLAS thread
     # counts.  Left out on purpose: the random-matrix kinds (LAPACK's
@@ -482,6 +508,15 @@ def test_cli_run_and_exit_codes(tmp_path):
         bad_value = runner.invoke(main, [kind, *args])
         assert bad_value.exit_code == 2, (kind, values, bad_value.output)
         assert "configuration error" in bad_value.output
+    # at theta = pi/4 the spectator's predicted spread is rounding of theta
+    # (cos^2(2 theta) = 3.7e-33), which the plateau ratio would divide by
+    pi_4 = runner.invoke(main, [
+        "rmt-sigma", "--seed", "3", *[arg for value in (
+            "ensemble=GOE", "configuration=spectator", "theta=0.7853981633974483",
+            "n_env_list=16,32", "n_hamiltonians=2", "n_initials=2", "coupling=0.001")
+            for arg in ("--set", value)]])
+    assert pi_4.exit_code == 2, pi_4.output
+    assert "purity spread vanishes at theta = pi/4" in pi_4.output
     nan_coupling = runner.invoke(main, ["memory-sumrule", "--set", "mem_coupling=nan"])
     assert nan_coupling.exit_code == 2
     assert "mem_coupling = nan: values must be finite" in nan_coupling.output

@@ -160,6 +160,63 @@ def test_period_holds_one_register_length_array():
         assert len(big) == 1 and big[0] is period.phase
 
 
+def test_period_build_matches_per_site_construction():
+    # the period splits each distinct field once and fuses runs without
+    # np.kron; the result must equal, bit for bit, splitting every site's
+    # kick and fusing every run by repeated np.kron
+    def fuse_by_kron(gates):
+        groups = []
+        for lo in range(0, len(gates), _kernels.GROUP):
+            run = gates[lo:lo + _kernels.GROUP]
+            if all(g is None for g in run):
+                continue
+            m = np.eye(1)
+            for g in run:
+                m = np.kron(np.eye(2) if g is None else g, m)
+            groups.append((lo, len(run), m))
+        return groups
+
+    def per_site(model):
+        h = _kernels.HADAMARD if model.axis == "x" else None
+        frame, rotations, terms = [], [], []
+        for b in model.fields:
+            u = ki.kick_matrix(b)
+            l, r, c = ki.split_kick(u if h is None else h @ u @ h)
+            rotations.append(None if r[1, 0] == 0.0 else r)
+            identity = h is None and np.all(l == 1.0)
+            frame.append(None if identity else np.diag(l) if h is None else h * l)
+            ang = np.angle(c * l)
+            terms.append(0.5 * (ang[1] - ang[0]))
+        return dict(phase=_kernels.ising_phase(model.couplings, terms),
+                    kicks=fuse_by_kron(rotations),
+                    enter=fuse_by_kron([None if f is None else f.conj().T
+                                        for f in frame]),
+                    leave=fuse_by_kron(frame), frame=frame)
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is b
+        if isinstance(a, (list, tuple)):
+            return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+        if isinstance(a, np.ndarray):
+            return a.dtype == np.asarray(b).dtype and np.array_equal(a, b)
+        return a == b
+
+    models = []
+    for axis in ("z", "x"):
+        models.append(ki.build_memory_model(
+            10, 3, (0, 4, 4), 0.05, ki.FIELD_PRESETS["chaotic-soft"], axis=axis))
+        # central pair and bath kicked by two distinct fields
+        models.append(ki.build_env_config(
+            "d", 8, 0.02, ki.FIELD_PRESETS["integrable"],
+            ki.FIELD_PRESETS["chaotic"], axis=axis)[0])
+    for model in models:
+        assert len({b.tobytes() for b in model.fields}) < model.num_spins
+        period, want = ki._Period(model), per_site(model)
+        for name, value in want.items():
+            assert same(getattr(period, name), value), (model.axis, name)
+
+
 def test_ising_phase_contract():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # |00>: aligned bits pick up e^{-iJ}

@@ -150,6 +150,18 @@ def test_purity_lr_limits_against_fast_form():
     assert np.max(np.abs((1 - quad) - (1 - closed)) / (1 - closed)) < 0.01
 
 
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+
+    g = np.random.default_rng(4)
+    for n in (2, 3, 1000):
+        x = np.sort(g.uniform(0.0, 40.0, n))  # non-uniform grid
+        y = np.cos(x) * g.standard_normal(n)
+        got = lr.cumulative_trapezoid(y, x)
+        want = cumulative_trapezoid(y, x, initial=0)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_closed_forms_regime_errors():
     p = lr.InitParams(theta=0.3, phi=0.4)
     with pytest.raises(ValueError, match="violates"):
