@@ -5,8 +5,9 @@ networks), leading-order analytic purity and concurrence predictions, and
 the entanglement diagnostics tying the two together.
 
 scipy is imported inside the functions that call it, never at module top:
-loading its modules took most of a CLI process's start-up, and most runs
-call few of them (kicked-Ising runs below 2^15 amplitudes call none).
+loading its modules took most of a CLI process's start-up.  Only the
+random-matrix engine calls it (``scipy.linalg``); kicked-Ising runs and
+``spectral-stats`` call none.
 """
 
 from .qstate import rng

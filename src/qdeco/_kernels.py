@@ -26,23 +26,25 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 def ising_phase(couplings, site_terms=None) -> np.ndarray:
     """Diagonal of exp(-i E), E = sum_{j<k} J_jk s_j s_k + sum_j t_j s_j,
     from the symmetric coupling matrix J and optional per-site ``t_j``
-    (s = +1 for bit 0).  E is built one bit at a time: appending bit j maps
-    E to [E + h_j, E - h_j] with h_j = t_j + sum_{k<j} J_jk s_k."""
+    (s = +1 for bit 0), one bit at a time: appending bit j maps the phase p
+    to [p w, p conj(w)], w = exp(-i h_j), h_j = t_j + sum_{k<j} J_jk s_k.
+    w is a product of the few factors exp(-i t_j) and exp(-/+ i J_jk)."""
     lower = np.tril(couplings, -1)
     num_qubits = len(lower)
     t = np.zeros(num_qubits) if site_terms is None else site_terms
-    energy = np.empty(1 << num_qubits)
-    energy[0] = 0.0
+    phase = np.empty(1 << num_qubits, dtype=complex)
+    phase[0] = 1.0
     for j in range(num_qubits):
         m = 1 << j
-        h = np.full(m, float(t[j]))
+        w = np.full(m, np.exp(-1j * float(t[j])))
         for k in np.flatnonzero(lower[j, :j]):
-            by_bit = h.reshape(-1, 2, 1 << k)  # (bits above k, s_k, bits below)
-            by_bit[:, 0] += lower[j, k]
-            by_bit[:, 1] -= lower[j, k]
-        np.subtract(energy[:m], h, out=energy[m:2 * m])
-        energy[:m] += h
-    return np.exp(-1j * energy)
+            factor = np.exp(-1j * lower[j, k])
+            by_bit = w.reshape(-1, 2, 1 << k)  # (bits above k, s_k, bits below)
+            by_bit[:, 0] *= factor
+            by_bit[:, 1] *= factor.conjugate()
+        np.multiply(phase[:m], w.conj(), out=phase[m:2 * m])
+        phase[:m] *= w
+    return phase
 
 
 def fuse(gates, size: int = GROUP):

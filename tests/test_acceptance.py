@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 One test per criterion clause; each records a PASS/FAIL line that pytest
-prints in a closing "acceptance criteria" section.  Budget ~30-45 minutes on
-two cores; Monte Carlo sizes follow the criteria (seeds fixed, so reruns are
-bit-identical).
+prints in a closing "acceptance criteria" section.  It takes about 7 minutes
+on two cores; Monte Carlo sizes follow the criteria (seeds fixed, so reruns
+are bit-identical).
 
 Three clauses compare with a formula only inside the regime the formula
 claims; the tolerances are the criteria's own:

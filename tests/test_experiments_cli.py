@@ -177,6 +177,10 @@ TINY = {
                            stride=5, n_realizations=2),
     "spectral-stats": dict(source="gue", rmt_dim=40, rmt_draws=4, k2_points=5),
 }
+# the 16-spin ring plus register, whose reduced block has 2^16 amplitudes
+REGISTER = dict(ring_spins=12, memory_qubits=4, positions=(0, 3, 6, 9),
+                mem_coupling=0.02, field="chaotic-soft", steps=4, stride=2,
+                n_realizations=1)
 
 
 def outputs(directory):
@@ -198,8 +202,9 @@ def test_byte_identical_outputs(tmp_path):
 
 
 def test_runs_import_only_the_scipy_they_call(tmp_path):
-    # scipy is imported where it is called: a small kicked-Ising run loads
-    # none of it, a GUE decay run only scipy.linalg (its eigh and GEMMs)
+    # scipy is imported where it is called: kicked-Ising runs at any size and
+    # spectral-stats load none of it, a GUE decay run only scipy.linalg (its
+    # eigh and GEMMs)
     script = (
         "import ast, sys\n"
         "import qdeco.experiments as xp\n"
@@ -210,14 +215,23 @@ def test_runs_import_only_the_scipy_they_call(tmp_path):
     src = str(Path(xp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    configs = {
+        "ki-decay": ("ki-decay", TINY["ki-decay"]),
+        "memory-sumrule": ("memory-sumrule", dict(REGISTER, steps=2)),
+        "spectral-stats-gue": ("spectral-stats", TINY["spectral-stats"]),
+        "spectral-stats-ki": ("spectral-stats",
+                              dict(source="ki-chaotic", ki_spins=8)),
+        "rmt-decay": ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE")),
+    }
     loaded = {}
-    for kind, kw in (("ki-decay", TINY["ki-decay"]),
-                     ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE"))):
+    for name, config in configs.items():
         run = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / kind), repr((kind, kw))],
+            [sys.executable, "-c", script, str(tmp_path / name), repr(config)],
             env=env, check=True, capture_output=True, text=True)
-        loaded[kind] = set(run.stdout.split())
-    assert loaded["ki-decay"] == set()
+        loaded[name] = set(run.stdout.split())
+    for name in configs:
+        if name != "rmt-decay":
+            assert loaded[name] == set(), name
     assert "scipy.linalg" in loaded["rmt-decay"]
     for name in ("scipy.integrate", "scipy.optimize", "scipy.special"):
         assert name not in loaded["rmt-decay"]
@@ -225,15 +239,19 @@ def test_runs_import_only_the_scipy_they_call(tmp_path):
 
 def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
     # The kicked-Ising time evolutions match byte for byte across BLAS thread
-    # counts.  Left out on purpose: the random-matrix kinds (LAPACK's
-    # eigenvectors change with the thread count) and spectral-stats with a
-    # kicked-ring source (so do zgeev's eigenvalues).
-    kinds = ["ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule"]
+    # counts, the 16-spin register's large reduced block included.  Left out
+    # on purpose: the random-matrix kinds (LAPACK's eigenvectors change with
+    # the thread count) and spectral-stats with a kicked-ring source (so do
+    # zgeev's eigenvalues).
+    configs = [(kind, TINY[kind])
+               for kind in ("ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule")]
+    configs.append(("memory-sumrule", REGISTER))
     script = (
         "import ast, sys\n"
         "import qdeco.experiments as xp\n"
-        "for kind, kw in ast.literal_eval(sys.argv[2]).items():\n"
-        "    cfg = xp.ExperimentConfig(kind=kind, seed=3, out=sys.argv[1], **kw)\n"
+        "for i, (kind, kw) in enumerate(ast.literal_eval(sys.argv[2])):\n"
+        "    cfg = xp.ExperimentConfig(kind=kind, seed=3,\n"
+        "                              out=f'{sys.argv[1]}/{i}', **kw)\n"
         "    xp.write_outputs(cfg, *xp.run(cfg))\n")
     src = str(Path(xp.__file__).resolve().parents[1])
     runs = []
@@ -242,11 +260,10 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-c", script, str(out),
-                        repr({k: TINY[k] for k in kinds})],
+        subprocess.run([sys.executable, "-c", script, str(out), repr(configs)],
                        env=env, check=True)
-        runs.append(outputs(out))
-    assert len(runs[0]) == 2 * len(kinds)
+        runs.append([outputs(out / str(i)) for i in range(len(configs))])
+    assert all(len(files) == 2 for files in runs[0])
     assert runs[0] == runs[1]
 
 

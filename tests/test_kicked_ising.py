@@ -229,6 +229,25 @@ def test_ising_phase_contract():
         apply_ising_phase(psi, 1, 1, 0.3)
 
 
+def test_ising_phase_matches_exp_of_energies():
+    # the phase built from products of bond and site factors against exp(-iE)
+    # of the energies summed directly: a ring, one long bond and site terms,
+    # with and without them; it keeps unit modulus without renormalizing
+    g = qdeco.rng(23)
+    for L in (8, 12, 16):
+        couplings = np.zeros((L, L))
+        for j in range(L):
+            couplings[j, (j + 1) % L] = couplings[(j + 1) % L, j] = g.uniform(-2, 2)
+        couplings[0, L // 2] = couplings[L // 2, 0] = g.uniform(-2, 2)
+        spins = 1.0 - 2.0 * (np.arange(1 << L)[:, None] >> np.arange(L) & 1)
+        pair = np.einsum("mj,jk,mk->m", spins, np.triu(couplings, 1), spins)
+        for terms in (None, g.uniform(-3, 3, L)):
+            energy = pair if terms is None else pair + spins @ terms
+            phase = _kernels.ising_phase(couplings, terms)
+            assert np.max(np.abs(phase - np.exp(-1j * energy))) < 1e-13
+            assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-14
+
+
 def test_kick_conventions():
     # b = (0, 0, pi/2) sends |0> to -i|0>
     psi = np.array([1.0, 0.0], dtype=complex)

@@ -143,14 +143,15 @@ def test_partial_trace_contiguous_runs_match_gather():
 
 
 def test_partial_trace_large_blocks_exactly_hermitian():
-    # from 2^15 amplitudes the kept block goes through zherk: the top run
-    # (a C-ordered block), the bottom run (F-ordered), a middle run and a
-    # gathered mask, each against m m^dagger and exactly Hermitian
+    # large kept blocks, where a GEMM's m m^dagger need not be Hermitian bit
+    # for bit: the top run (a C-ordered block), the bottom run (F-ordered), a
+    # middle run and a gathered mask, each against m m^dagger and exactly
+    # Hermitian
     g = qdeco.rng(19)
     psi = qstate.random_state(1 << 16, g)
     for mask in (0xF000, 0x000F, 0x03C0, 0x8421, 0x0003, 0xC000):
         m = qstate.subsystem_matrix(psi, mask)
-        assert m.size >= qstate._HERK_MIN
+        assert m.size >= 1 << 15
         rho = qstate.partial_trace(psi, mask)
         assert np.max(np.abs(rho - m @ m.conj().T)) < 1e-15
         assert np.array_equal(rho, rho.conj().T)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 import qdeco
 from qdeco import rmt
@@ -178,6 +178,23 @@ def test_b2_double_integral_goe_vs_grid():
     assert abs(rmt.b2_double_integral(1, t, tau) - brute) < 1e-8
 
 
+def test_b2_double_integral_goe_closed_form():
+    # the closed form against a tight adaptive quadrature, from 1e-7 to 100
+    # Heisenberg times: to 1e-12 relative from 2e-3 up; below, the
+    # cancelling terms leave a rounding error that grows as x falls
+    tau = 2 * np.sqrt(512)
+    assert rmt.b2_double_integral(1, 0.0, tau) == 0.0
+    for x in np.concatenate([np.geomspace(1e-7, 2e-3, 8, endpoint=False),
+                             np.geomspace(2e-3, 100.0, 40), [1.0]]):
+        t = x * tau
+        direct, _ = integrate.quad(
+            lambda u: (t - u) * rmt.b2(1, u / tau), 0.0, t,
+            points=[tau] if tau < t else None, epsabs=0.0, epsrel=2e-14,
+            limit=400)
+        rel = abs(rmt.b2_double_integral(1, t, tau) / (2 * direct) - 1.0)
+        assert rel < (1e-12 if x >= 2e-3 else 1e-9), x
+
+
 def test_brody_fit_goe():
     g = qdeco.rng(9)
     spectra = []
@@ -193,6 +210,29 @@ def test_brody_fit_poisson():
     spectra = [np.sort(g.uniform(0, 500, 500)) for _ in range(40)]
     _, omega = rmt.spacing_statistics(spectra)
     assert -0.05 <= omega <= 0.1
+
+
+def test_fit_brody_matches_bounded_minimizer():
+    # the golden-section fit against scipy's bounded Brent at a tight xatol,
+    # on GOE and Poisson spacings
+    g = qdeco.rng(9)
+    goe = [rmt.unfold(np.linalg.eigvalsh(
+        rmt.sample_matrix(rmt.EnsembleSpec("GOE", 200), g))).energies
+        for _ in range(20)]
+    poisson = [np.sort(g.uniform(0, 500, 500)) for _ in range(20)]
+    for spectra in (goe, poisson):
+        s, omega = rmt.spacing_statistics(spectra)
+        s = s / s.mean()
+
+        def neg_loglik(w):
+            b = special.gamma((w + 2.0) / (w + 1.0)) ** (w + 1.0)
+            return -np.sum(np.log(w + 1.0) + np.log(b) + w * np.log(s)
+                           - b * s ** (w + 1.0))
+
+        want = optimize.minimize_scalar(neg_loglik, bounds=(-0.3, 1.5),
+                                        method="bounded",
+                                        options={"xatol": 1e-12}).x
+        assert abs(omega - want) < 1e-7
 
 
 def test_spacing_statistics_needs_levels():
