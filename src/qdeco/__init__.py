@@ -6,8 +6,8 @@ the entanglement diagnostics tying the two together.
 
 scipy is imported inside the functions that call it, never at module top:
 loading its modules took most of a CLI process's start-up.  Only the
-random-matrix engine calls it (``scipy.linalg``); kicked-Ising runs and
-``spectral-stats`` call none.
+random-matrix engine calls it (``scipy.linalg``), and only for complex GUE
+matrices; GOE runs, kicked-Ising runs and ``spectral-stats`` call none.
 """
 
 from .qstate import rng

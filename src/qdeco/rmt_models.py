@@ -19,12 +19,22 @@ diagonalize qubit+environment blocks, ``separate`` in the product of its
 two block eigenbases; real GOE blocks by divide and conquer, ``evd``,
 complex GUE ones by ``evr``).  A batch of initial states is projected into
 the eigenbasis once; each slice of times is one phase product and one GEMM
-per block back.  That linear algebra all runs on scipy's BLAS: numpy bundles
-a second OpenBLAS, whose threads compete with the ones scipy leaves spinning.
+per block back.
+
+numpy and scipy each bundle an OpenBLAS, and a run keeps its heavy LAPACK
+and BLAS calls on one of them, since threads one library leaves spinning
+slow the other's calls.  Real (GOE) linear algebra runs on numpy, whose
+``eigh`` is scipy's ``dsyevd`` bit for bit, so GOE runs import no scipy.
+Complex (GUE) linear algebra stays on scipy: numpy has no ``zheevr``, and
+its ``zheevd`` took 162 ms against 112 ms at 512 and 1.11 s against 0.77 s
+at 1024.  A GUE run's bath spectrum stays there too: moved alone onto
+numpy's threaded ``zheevd``, between scipy's ``evr`` and ``zgemm`` calls,
+it cut a spectator run from 2590-3080 to 1660-1950 samples/s.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +47,12 @@ from .rmt import EnsembleSpec, sample_matrix, unfold
 from .trajectory import Trajectory, average, measure
 
 MAX_TOTAL_DIM = 1 << 14
+
+# numpy's LAPACK and BLAS release the GIL, where scipy's mostly hold it, so
+# the Hamiltonians that ``threads`` runs side by side would also run numpy's
+# threaded OpenBLAS calls at once: on two cores a GOE run then took 1.4x as
+# long as with threads=1.  Those calls take turns on this process-wide lock.
+_NUMPY_BLAS = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -143,9 +159,13 @@ def _qubit_energies(delta: float) -> np.ndarray:
 
 
 def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
-    from scipy.linalg import eigvalsh
-    ens = EnsembleSpec(spec.ensemble, dim)
-    raw = eigvalsh(sample_matrix(ens, gen), driver="evd")  # as numpy's eigvalsh
+    h = sample_matrix(EnsembleSpec(spec.ensemble, dim), gen)
+    if np.iscomplexobj(h):
+        from scipy.linalg import eigvalsh
+        raw = eigvalsh(h, driver="evd")  # on scipy's OpenBLAS, as the blocks
+    else:
+        with _NUMPY_BLAS:
+            raw = np.linalg.eigvalsh(h)
     if spec.env_spectrum == "raw":
         return np.sort(raw)
     flat = unfold(raw).energies
@@ -258,10 +278,15 @@ class _Block:
     """Eigendecomposed sub-Hamiltonian acting on a group of state axes."""
 
     def __init__(self, matrix, axes):
-        from scipy.linalg import eigh
-        # evd is about twice as fast as evr on real blocks, slower on complex
-        self.energies, self.q = eigh(
-            matrix, driver="evr" if np.iscomplexobj(matrix) else "evd")
+        # evd (numpy's eigh) is about twice as fast as evr on real blocks,
+        # slower on complex ones; each stays on the OpenBLAS that its run's
+        # other LAPACK and BLAS calls use (module docstring)
+        if np.iscomplexobj(matrix):
+            from scipy.linalg import eigh
+            self.energies, self.q = eigh(matrix, driver="evr")
+        else:
+            with _NUMPY_BLAS:
+                self.energies, self.q = np.linalg.eigh(matrix)
         self.axes = tuple(axes)
 
 
@@ -302,7 +327,6 @@ class Propagator:
         imaginary part for a real Q.  Trailing block axes make that a
         reshape and the GEMM writes straight into dst; other axes go through
         transposed copies, so dst may be src."""
-        from scipy.linalg.blas import dgemm, zgemm
         shape = src.shape[:-1] + tuple(self.dims)
         for b in self.blocks:
             axes = [a + src.ndim - 1 for a in b.axes]
@@ -311,13 +335,17 @@ class Propagator:
             view = dst.reshape(shape).transpose(perm)
             trailing = perm == sorted(perm)
             y = view.reshape(x.shape) if trailing else np.empty_like(x)
-            # to BLAS, a row-major (rows, n) array is a column-major (n, rows) one
             if np.iscomplexobj(b.q):
+                from scipy.linalg.blas import zgemm
+                # to BLAS, a row-major (rows, n) array is a column-major (n, rows) one
                 zgemm(1.0, b.q, x.T, trans_a=2 * adjoint, c=y.T, overwrite_c=True)
             else:
+                plane = np.empty(x.shape)
                 for part in ("real", "imag"):
-                    plane = np.ascontiguousarray(getattr(x, part)).T
-                    getattr(y, part)[...] = dgemm(1.0, b.q, plane, trans_a=adjoint).T
+                    with _NUMPY_BLAS:
+                        np.matmul(np.ascontiguousarray(getattr(x, part)),
+                                  b.q if adjoint else b.q.T, out=plane)
+                    getattr(y, part)[...] = plane
             if not trailing:
                 view[...] = y.reshape(view.shape)
             src = dst
@@ -364,7 +392,7 @@ def initial_state(spec: ModelSpec, central, gen) -> np.ndarray:
     """central (x) fresh random environment state(s)."""
     psi = np.asarray(central, dtype=complex)
     for n in spec.env_dims:
-        psi = np.kron(psi, qstate.random_state(n, gen))
+        psi = np.multiply.outer(psi, qstate.random_state(n, gen)).ravel()
     return psi
 
 

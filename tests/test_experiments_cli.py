@@ -188,11 +188,16 @@ def outputs(directory):
 
 
 def test_byte_identical_outputs(tmp_path):
-    # every CSV and the summary of each kind, byte for byte, whatever --threads
-    for kind, kw in TINY.items():
+    # every CSV and the summary of each kind, byte for byte, whatever --threads;
+    # the larger GOE rmt-sigma calls numpy's dsyevd from both pool threads, at
+    # sizes where each call spreads over BLAS threads
+    configs = list(TINY.items()) + [
+        ("rmt-sigma", dict(TINY["rmt-sigma"], n_env_list=(128, 256),
+                           n_hamiltonians=4, n_initials=4))]
+    for i, (kind, kw) in enumerate(configs):
         runs = []
         for threads in (1, 2):
-            out = tmp_path / kind / str(threads)
+            out = tmp_path / f"{i}-{kind}" / str(threads)
             cfg = xp.ExperimentConfig(kind=kind, seed=3, threads=threads,
                                       out=str(out), **kw)
             xp.write_outputs(cfg, *xp.run(cfg))
@@ -202,9 +207,9 @@ def test_byte_identical_outputs(tmp_path):
 
 
 def test_runs_import_only_the_scipy_they_call(tmp_path):
-    # scipy is imported where it is called: kicked-Ising runs at any size and
-    # spectral-stats load none of it, a GUE decay run only scipy.linalg (its
-    # eigh and GEMMs)
+    # scipy is imported where it is called: kicked-Ising runs at any size,
+    # spectral-stats and GOE random-matrix runs (numpy's LAPACK) load none of
+    # it, a GUE decay run only scipy.linalg (its eigh and GEMMs)
     script = (
         "import ast, sys\n"
         "import qdeco.experiments as xp\n"
@@ -221,6 +226,9 @@ def test_runs_import_only_the_scipy_they_call(tmp_path):
         "spectral-stats-gue": ("spectral-stats", TINY["spectral-stats"]),
         "spectral-stats-ki": ("spectral-stats",
                               dict(source="ki-chaotic", ki_spins=8)),
+        "rmt-decay-goe": ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GOE")),
+        "rmt-sigma-goe": ("rmt-sigma", TINY["rmt-sigma"]),
+        "unitality-goe": ("unitality", dict(TINY["unitality"], ensemble="GOE")),
         "rmt-decay": ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE")),
     }
     loaded = {}
@@ -235,6 +243,27 @@ def test_runs_import_only_the_scipy_they_call(tmp_path):
     assert "scipy.linalg" in loaded["rmt-decay"]
     for name in ("scipy.integrate", "scipy.optimize", "scipy.special"):
         assert name not in loaded["rmt-decay"]
+
+
+def test_gue_runs_keep_large_lapack_calls_on_scipy(monkeypatch, tmp_path):
+    # numpy and scipy each bundle an OpenBLAS; a GUE run's eigh, bath
+    # spectrum and GEMMs stay on scipy's, since numpy's threaded zheevd
+    # between them slowed the run by a third.  numpy diagonalizes only the
+    # 4x4 reduced states.
+    sizes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kw):
+            sizes.append(np.shape(a)[-1])
+            return fn(a, *args, **kw)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    cfg = xp.ExperimentConfig(kind="rmt-decay", seed=3, out=str(tmp_path),
+                              **dict(TINY["rmt-decay"], ensemble="GUE", n_env=64))
+    xp.write_outputs(cfg, *xp.run(cfg))
+    assert sizes and max(sizes) <= 4
 
 
 def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):

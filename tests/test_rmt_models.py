@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -266,6 +268,40 @@ def test_monte_carlo_deterministic_and_thread_invariant():
     assert np.array_equal(a.purity, b.purity)
     assert np.array_equal(a.purity, c.purity)
     assert np.array_equal(a.purity_std, c.purity_std)
+
+
+def test_threads_take_turns_on_numpy_lapack(monkeypatch):
+    # numpy's eigh, eigvalsh and matmul release the GIL; run side by side by
+    # the threads pool, two threaded OpenBLAS calls slowed a GOE run 1.4x.
+    # The reduced states' 4x4 calls are too small to matter.
+    active, peak, guard = [0], [0], threading.Lock()
+
+    def tracking(fn):
+        def wrapped(*args, **kw):
+            if np.shape(args[0])[-1] <= 4:
+                return fn(*args, **kw)
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                return fn(*args, **kw)
+            finally:
+                with guard:
+                    active[0] -= 1
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, tracking(getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "matmul", tracking(np.matmul))
+    spec = rm.ModelSpec("spectator", 128, "GOE", 0.1, (0.5, 0.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rm.monte_carlo(spec, lr.InitParams(theta=0.3), np.linspace(0.0, 5.0, 9),
+                       6, 2, qdeco.rng(5), threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak[0] == 1
 
 
 def _random_angle(g):
