@@ -1,8 +1,8 @@
 """Command line front end: one subcommand per experiment kind.
 
-Exit codes: 0 success, 2 configuration error, 3 resource refusal.  Flags can
-also be set through EXP_-prefixed environment variables (EXP_SEED, EXP_OUT,
-EXP_THREADS, EXP_CONFIG, EXP_PRESET).
+Exit codes: 0 success, 2 configuration error, 3 resource refusal.  Four
+flags can also be set through environment variables: EXP_SEED, EXP_OUT,
+EXP_CONFIG and EXP_PRESET.  Runs are serial; BLAS threads use the cores.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _SCHEMAS = {
 }
 
 
-@click.group(context_settings={"auto_envvar_prefix": "EXP"})
+@click.group()
 def main():
     """Decoherence experiments: seeded, deterministic, CSV out.
 
@@ -46,12 +46,9 @@ def _make_command(kind: str):
                   help="named reference configuration")
     @click.option("--seed", type=int, default=None, envvar="EXP_SEED")
     @click.option("--out", "out_dir", default=None, envvar="EXP_OUT")
-    @click.option("--threads", type=int, default=None, envvar="EXP_THREADS",
-                  help="threads for the random-matrix runners; the "
-                  "kicked-Ising runners run serially")
     @click.option("--set", "overrides", multiple=True,
                   help="extra key=value overrides (repeatable)")
-    def command(config_path, preset_name, seed, out_dir, threads, overrides):
+    def command(config_path, preset_name, seed, out_dir, overrides):
         try:
             cfg = xp.ExperimentConfig(kind=kind)
             if preset_name:
@@ -72,8 +69,6 @@ def _make_command(kind: str):
                 updates["seed"] = seed
             if out_dir is not None:
                 updates["out"] = out_dir
-            if threads is not None:
-                updates["threads"] = threads
             if updates:
                 cfg = replace(cfg, **updates)
             tables, summary = xp.run(cfg)

@@ -1,8 +1,8 @@
 """Reproducible experiment runners behind the command line.
 
 Each experiment kind maps a validated :class:`ExperimentConfig` to one or
-more CSV tables plus a JSON-able summary.  Same config + seed gives byte
-identical output, independent of the thread count.
+more CSV tables plus a JSON-able summary.  Runs are serial, so the same
+config + seed gives byte identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import kicked_ising as ki
 from . import linear_response as lr
 from . import metrics, qstate, rmt
 from . import rmt_models as rm
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .qstate import rng
 from .trajectory import average
 
@@ -41,7 +41,7 @@ class ExperimentConfig:
 
     kind: str = "rmt-decay"
     seed: int = 7
-    threads: int = 1
+    threads: int = 1  # runs are serial: 1 is the only value
     out: str = "results"
     # model
     configuration: str = "spectator"
@@ -90,8 +90,8 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; choices: {EXPERIMENT_KINDS}")
-        if self.threads < 1 or self.n_times < 2:
-            raise ConfigError("threads must be >= 1 and n_times >= 2")
+        if self.threads != 1 or self.n_times < 2:
+            raise ConfigError("threads must be 1 (runs are serial), n_times >= 2")
         for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -289,7 +289,7 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
             c_elr, t_star = (_concurrence_analytic(cfg, params, p_elr, times)
                              if spec.num_qubits == 2 else (None, None))
         avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                             cfg.n_initials, gen, threads=cfg.threads)
+                             cfg.n_initials, gen)
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,
                   p_lr, p_elr]
@@ -334,8 +334,7 @@ def _run_rmt_cp(cfg: ExperimentConfig, gen):
     times = np.linspace(0.0, cfg.t_max_over_tauh * spec.nominal_tau_h(),
                         cfg.n_times)
     _, samples = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                                cfg.n_initials, gen, threads=cfg.threads,
-                                collect_samples=True)
+                                cfg.n_initials, gen, collect_samples=True)
     return _cp_outputs(
         cfg, samples["purity"], samples["concurrence"],
         deviation_estimate=metrics.werner_deviation_estimate(
@@ -380,7 +379,7 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
         # both angle families from the same Hamiltonians, fixed angle first
         fixed, random_g = rm.monte_carlo(
             spec, params, times, cfg.n_hamiltonians, cfg.n_initials, gen,
-            threads=cfg.threads, params_sampler=(None, sampler))
+            params_sampler=(None, sampler))
         rows.append((n, fixed.purity_std[-1], random_g.purity_std[-1], pred))
     arr = np.array(rows)
     table = _table(["n_env", "sigma_fixed_gamma", "sigma_random_gamma",
@@ -403,8 +402,7 @@ def _run_unitality(cfg: ExperimentConfig, gen):
                             cfg.delta[0], env_spectrum=cfg.env_spectrum)
         tau = spec.nominal_tau_h()
         times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
-        dist = rm.unitality_experiment(spec, times, cfg.n_realizations, gen,
-                                       threads=cfg.threads)
+        dist = rm.unitality_experiment(spec, times, cfg.n_realizations, gen)
         finals.append(dist[-1])
         for t, d in zip(times, dist):
             rows.append((n, t, d))
@@ -557,7 +555,16 @@ def _ki_spectrum_model(cfg: ExperimentConfig, chaotic: bool):
 
 def _run_spectral_stats(cfg: ExperimentConfig, gen):
     summary: dict = {"source": cfg.source}
+    # refused before any draw: more levels than the largest bath, or a form
+    # factor's (k2_points, rmt_dim) phase array larger than the grid cap
+    cap = max(layout[3] for layout in lr.LAYOUTS.values())
+    if cfg.source in ("gue", "goe", "poisson") and cfg.rmt_dim > cap:
+        raise ResourceLimitError(f"rmt_dim = {cfg.rmt_dim} exceeds the bath cap {cap}")
     if cfg.source in ("gue", "goe"):
+        if cfg.k2_points * cfg.rmt_dim > lr.MAX_GRID_POINTS:
+            raise ResourceLimitError(
+                f"k2_points x rmt_dim = {cfg.k2_points * cfg.rmt_dim} form-factor "
+                f"phases exceed {lr.MAX_GRID_POINTS}")
         if cfg.rmt_draws < 2:
             raise ConfigError("the form factor's spread needs rmt_draws >= 2")
         spec = rmt.EnsembleSpec(cfg.source.upper(), cfg.rmt_dim)

@@ -34,8 +34,6 @@ it cut a spectator run from 2590-3080 to 1660-1950 samples/s.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +45,6 @@ from .rmt import EnsembleSpec, sample_matrix, unfold
 from .trajectory import Trajectory, average, measure
 
 MAX_TOTAL_DIM = 1 << 14
-
-# numpy's LAPACK and BLAS release the GIL, where scipy's mostly hold it, so
-# the Hamiltonians that ``threads`` runs side by side would also run numpy's
-# threaded OpenBLAS calls at once: on two cores a GOE run then took 1.4x as
-# long as with threads=1.  Those calls take turns on this process-wide lock.
-_NUMPY_BLAS = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -164,8 +156,7 @@ def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
         from scipy.linalg import eigvalsh
         raw = eigvalsh(h, driver="evd")  # on scipy's OpenBLAS, as the blocks
     else:
-        with _NUMPY_BLAS:
-            raw = np.linalg.eigvalsh(h)
+        raw = np.linalg.eigvalsh(h)
     if spec.env_spectrum == "raw":
         return np.sort(raw)
     flat = unfold(raw).energies
@@ -285,8 +276,7 @@ class _Block:
             from scipy.linalg import eigh
             self.energies, self.q = eigh(matrix, driver="evr")
         else:
-            with _NUMPY_BLAS:
-                self.energies, self.q = np.linalg.eigh(matrix)
+            self.energies, self.q = np.linalg.eigh(matrix)
         self.axes = tuple(axes)
 
 
@@ -342,9 +332,8 @@ class Propagator:
             else:
                 plane = np.empty(x.shape)
                 for part in ("real", "imag"):
-                    with _NUMPY_BLAS:
-                        np.matmul(np.ascontiguousarray(getattr(x, part)),
-                                  b.q if adjoint else b.q.T, out=plane)
+                    np.matmul(np.ascontiguousarray(getattr(x, part)),
+                              b.q if adjoint else b.q.T, out=plane)
                     getattr(y, part)[...] = plane
             if not trailing:
                 view[...] = y.reshape(view.shape)
@@ -411,25 +400,17 @@ def _measure(spec: ModelSpec, states, times) -> Trajectory:
     return measure(times, np.moveaxis(reduce_central(spec, states), 0, -3))
 
 
-def _map(fn, seeds, threads: int) -> list:
-    if threads <= 1:
-        return [fn(g) for g in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
                 n_initials: int, gen, params2: InitParams | None = None,
-                threads: int = 1, params_sampler=None,
-                collect_samples: bool = False):
+                params_sampler=None, collect_samples: bool = False):
     """Average over n_hamiltonians x n_initials realizations.
 
     The ensemble member (bath spectrum + coupling) is drawn per Hamiltonian
     and reused across its initial conditions; environment states (and, when
     ``params_sampler`` is given, the central state) are drawn per initial
-    condition.  Deterministic for a fixed generator seed, independent of
-    ``threads``.  With ``collect_samples`` it also returns every sample's
-    purity (and, for two qubits, concurrence) series, concatenated.
+    condition.  Deterministic for a fixed generator seed: the Hamiltonians
+    run one after another.  With ``collect_samples`` it also returns every
+    sample's purity (and, for two qubits, concurrence) series, concatenated.
 
     ``params_sampler`` may also be a sequence of initial-state families, each
     a sampler or None for the fixed ``params``.  Each Hamiltonian's generator
@@ -446,9 +427,9 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     if collect_samples and several:
         raise ConfigError("collect_samples takes a single initial-state family")
     t = np.asarray(times, dtype=float)
-    seeds = gen.spawn(n_hamiltonians)
     samplers = [s for s in families for _ in range(n_initials)]
 
+    # a call per Hamiltonian frees its propagator before the next is built
     def one_hamiltonian(g):
         prop = Propagator(spec, g)
         psi0s = np.empty((len(samplers), spec.total_dim), dtype=complex)
@@ -458,7 +439,7 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
         states = np.split(prop.states(psi0s, t), len(families), axis=1)
         return [_measure(spec, s, t) for s in states]
 
-    batches = _map(one_hamiltonian, seeds, threads)
+    batches = [one_hamiltonian(g) for g in gen.spawn(n_hamiltonians)]
     avgs = [average(family) for family in zip(*batches)]
     if several:
         return avgs
@@ -469,17 +450,15 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     return avgs[0]
 
 
-def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,
-                         threads: int = 1) -> np.ndarray:
+def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen) -> np.ndarray:
     """Mean Bloch-vector norm of the coupled qubit when the initial state
     carries a fully mixed qubit: (|0>|e0> + |1>|e1>)/sqrt(2) with
     orthonormal environment states.  Zero for an exactly unital channel."""
     if spec.configuration != "one-qubit":
         raise ConfigError("the unitality probe runs in the one-qubit layout")
     t = np.asarray(times, dtype=float)
-    seeds = gen.spawn(n_realizations)
 
-    def one(g):
+    def one(g):  # as in monte_carlo, one propagator alive at a time
         prop = Propagator(spec, g)
         ne = spec.env_dims[0]
         e0 = qstate.random_state(ne, g)
@@ -491,4 +470,4 @@ def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,
         return metrics.unitality_distance(
             reduce_central(spec, prop.states(psi0, t)))
 
-    return np.mean(_map(one, seeds, threads), axis=0)
+    return np.mean([one(g) for g in gen.spawn(n_realizations)], axis=0)

@@ -49,8 +49,6 @@ from conftest import ACCEPTANCE_LINES
 
 warnings.filterwarnings("ignore", message=".*unreliable.*")
 
-THREADS = 2
-
 
 def record(cid, ok, detail):
     ACCEPTANCE_LINES.append(f"{'PASS' if ok else 'FAIL'}: {cid} — {detail}")
@@ -75,8 +73,7 @@ def c1_run():
     # 41 points on [0, 2 tau_H] and 31 on [0, tau_H / 4], in steps of
     # tau_H / 120; the early ones resolve clause 1a's leading-order window
     times = tau / 120 * np.union1d(np.arange(0, 241, 6), np.arange(31))
-    avg = rm.monte_carlo(spec, params, times, 15, 15, qdeco.rng(101),
-                         threads=THREADS)
+    avg = rm.monte_carlo(spec, params, times, 15, 15, qdeco.rng(101))
     cfg = lr.LRConfig("one-qubit", (2,), (tau,), (lam,), (0.0,))
     p_lr = lr.purity_lr(cfg, params, times)
     return times, avg, p_lr, lr.exponentiate(p_lr, 0.5)
@@ -129,8 +126,7 @@ def test_criterion_2_quadratic_coefficient_ratio():
     for gamma in (0.0, np.pi / 2):
         spec = rm.ModelSpec("one-qubit", ne, "GOE", lam, 0.0)
         params = lr.InitParams.equatorial(0.0, gamma)
-        avg = rm.monte_carlo(spec, params, times, 12, 10, qdeco.rng(17),
-                             threads=THREADS)
+        avg = rm.monte_carlo(spec, params, times, 12, 10, qdeco.rng(17))
         resid = (1 - avg.purity) - base
         coef[gamma] = float(np.sum(resid[1:] * times[1:] ** 2)
                             / np.sum(times[1:] ** 4))
@@ -148,8 +144,7 @@ def test_criterion_2_sigma_scaling_and_plateau():
     for n in sizes:
         spec = rm.ModelSpec("one-qubit", n, "GOE", lam, 0.0)
         avg = rm.monte_carlo(spec, lr.InitParams.equatorial(0.0, 0.0),
-                             np.array([0.0, t_fix]), 20, 12, qdeco.rng(23),
-                             threads=THREADS)
+                             np.array([0.0, t_fix]), 20, 12, qdeco.rng(23))
         sig.append(avg.purity_std[-1])
     slope = np.polyfit(np.log(sizes), np.log(sig), 1)[0]
 
@@ -160,7 +155,7 @@ def test_criterion_2_sigma_scaling_and_plateau():
     t_plateau = 1.3 * 2 * np.sqrt(512)
     avg = rm.monte_carlo(spec, lr.InitParams.equatorial(0.0, 0.0),
                          np.array([0.0, t_plateau]), 15, 14, qdeco.rng(29),
-                         threads=THREADS, params_sampler=sampler)
+                         params_sampler=sampler)
     plateau = lr.sigma_purity(lr.LRConfig("one-qubit", (1,), (2 * np.sqrt(512),),
                                           (lam,), (0.0,)),
                               lr.InitParams.equatorial(0.0, 0.0), t_plateau)
@@ -183,8 +178,7 @@ def test_criterion_3_bell_vs_separable_rate():
     for label, theta in (("bell", np.pi / 4), ("separable", 0.0)):
         spec = rm.ModelSpec("spectator", ne, "GUE", lam, 0.0)
         params = lr.InitParams(theta=theta, phi=np.pi / 4)
-        avg = rm.monte_carlo(spec, params, times, 10, 10, qdeco.rng(41),
-                             threads=THREADS)
+        avg = rm.monte_carlo(spec, params, times, 10, 10, qdeco.rng(41))
         slopes[label] = linear_slope(times[1:], 1 - avg.purity[1:])
     ratio = slopes["bell"] / slopes["separable"]
     record("criterion 3 (Bell/separable early decay-rate ratio)",
@@ -217,7 +211,7 @@ def _cp_distance_run(ne, lam, n_h, n_i, seed):
     t_max = lr_depth_time(cfg, params, 2.2)
     times = np.linspace(0.0, t_max, 56)
     _, samples = rm.monte_carlo(spec, params, times, n_h, n_i, qdeco.rng(seed),
-                                threads=THREADS, collect_samples=True)
+                                collect_samples=True)
     curve = metrics.bin_cp_samples(samples["purity"], samples["concurrence"])
     return metrics.cp_distance(curve), t_max / tau
 
@@ -258,7 +252,7 @@ def c5_run():
     # the decay rate goes as lambda^2: the grid of the lambda = 0.1 run, scaled
     times = np.linspace(0.0, 1.6 * (0.1 / lam) ** 2, 33)
     avg = rm.monte_carlo(spec, params, times, 12, 8, qdeco.rng(61),
-                         params2=params, threads=THREADS)
+                         params2=params)
     cfg = lr.LRConfig("joint", (2, 2), (tau, tau), (lam, lam), (0.1, 0.1))
     p_elr = lr.exponentiate(lr.purity_lr(cfg, params, times, params2=params),
                             0.25)
@@ -474,8 +468,7 @@ def test_criterion_8_rmt_analogue():
     tau = 2 * np.sqrt(ne)
     spec = rm.ModelSpec("n-qubit", ne, "GUE", lam, (0.0,) * n, n_qubits=n)
     times = np.linspace(0.0, 2 * tau, 21)
-    avg = rm.monte_carlo(spec, lr.InitParams(), times, 12, 12, qdeco.rng(81),
-                         threads=THREADS)
+    avg = rm.monte_carlo(spec, lr.InitParams(), times, 12, 12, qdeco.rng(81))
     pred = 1 - lr.f_heisenberg(times, tau) * n * lam**2 * 1.5
     om = 1 - pred
     window = (om >= 0.02) & (om <= 0.1)

@@ -59,7 +59,7 @@ def test_config_sections_cover_every_key_once(tmp_path):
     assert sorted(keys) == sorted(f.name for f in fields(xp.ExperimentConfig))
     assert len(keys) == len(set(keys))
     cfg = replace(
-        xp.ExperimentConfig(), kind="ki-decay", seed=8, threads=2, out="elsewhere",
+        xp.ExperimentConfig(), kind="ki-decay", seed=8, threads=1, out="elsewhere",
         configuration="joint", ensemble="GOE", n_env=64, coupling=0.02,
         delta=(0.1, 0.2), delta2=0.3, theta=0.5, phi=0.6, gamma=0.1,
         env_spectrum="raw", n_hamiltonians=3, n_initials=4, t_max_over_tauh=1.5,
@@ -75,7 +75,8 @@ def test_config_sections_cover_every_key_once(tmp_path):
         text += f"[{section}]\n"
         for key in keys:
             value = getattr(cfg, key)
-            assert value != getattr(default, key), key
+            # threads has one legal value, the default: runs are serial
+            assert value != getattr(default, key) or key == "threads", key
             if isinstance(value, tuple):
                 value = ", ".join(map(repr, value))
             text += f"{key} = {value}\n"
@@ -188,18 +189,17 @@ def outputs(directory):
 
 
 def test_byte_identical_outputs(tmp_path):
-    # every CSV and the summary of each kind, byte for byte, whatever --threads;
-    # the larger GOE rmt-sigma calls numpy's dsyevd from both pool threads, at
+    # every CSV and the summary of each kind, byte for byte, over two runs of
+    # one config and seed; the larger GOE rmt-sigma runs numpy's dsyevd at
     # sizes where each call spreads over BLAS threads
     configs = list(TINY.items()) + [
         ("rmt-sigma", dict(TINY["rmt-sigma"], n_env_list=(128, 256),
                            n_hamiltonians=4, n_initials=4))]
     for i, (kind, kw) in enumerate(configs):
         runs = []
-        for threads in (1, 2):
-            out = tmp_path / f"{i}-{kind}" / str(threads)
-            cfg = xp.ExperimentConfig(kind=kind, seed=3, threads=threads,
-                                      out=str(out), **kw)
+        for run in (0, 1):
+            out = tmp_path / f"{i}-{kind}" / str(run)
+            cfg = xp.ExperimentConfig(kind=kind, seed=3, out=str(out), **kw)
             xp.write_outputs(cfg, *xp.run(cfg))
             runs.append(outputs(out))
         assert f"{kind}-summary.json" in runs[0]
@@ -485,6 +485,17 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert summary["seed"] == 3
     bad = runner.invoke(main, ["rmt-decay", "--set", "bogus=1"])
     assert bad.exit_code == 2
+    # runs are serial: threads = 1 is the only value, and --threads is gone
+    serial = tmp_path / "threads.ini"
+    serial.write_text("[experiment]\nkind = rmt-decay\nthreads = 2\n")
+    for args in (["--set", "threads=2"], ["--config", str(serial)]):
+        threaded = runner.invoke(main, ["rmt-decay", *args])
+        assert threaded.exit_code == 2, (args, threaded.output)
+        assert "runs are serial" in threaded.output
+    no_option = runner.invoke(main, ["rmt-decay", "--threads", "2"])
+    assert no_option.exit_code == 2, no_option.output
+    assert "No such option" in no_option.output
+    assert "--threads" in no_option.output
     refused = runner.invoke(main, [
         "rmt-decay", "--set", "configuration=one-qubit", "--set", "n_env=9999"])
     assert refused.exit_code == 3
@@ -575,6 +586,16 @@ def test_cli_run_and_exit_codes(tmp_path):
                                 "--set", "t_max_over_tauh=1e6"])
     assert long.exit_code == 3, long.output
     assert "quadrature grid" in long.output
+    # spectral-stats refuses a huge level set or form-factor array before
+    # any draw
+    for values, message in (("rmt_dim=1000000 rmt_draws=2", "bath cap"),
+                            ("source=poisson rmt_dim=4096", "bath cap"),
+                            ("rmt_dim=2048 rmt_draws=2 k2_points=1000",
+                             "form-factor phases")):
+        args = [arg for value in values.split() for arg in ("--set", value)]
+        huge = runner.invoke(main, ["spectral-stats", *args])
+        assert huge.exit_code == 3, (values, huge.output)
+        assert message in huge.output
 
 
 @pytest.mark.parametrize("kind, values, key", [
@@ -620,16 +641,21 @@ def test_cli_two_qubit_bath_layouts_finish(tmp_path, configuration):
 
 
 def test_cli_env_var_override(tmp_path):
+    # only the documented name sets the seed; the per-command name that a
+    # click prefix would derive is not read
     runner = CliRunner()
-    out = tmp_path / "env"
-    res = runner.invoke(main, [
-        "rmt-decay", "--out", str(out), "--set", "n_env=12",
-        "--set", "coupling=0.0", "--set", "n_hamiltonians=1",
-        "--set", "n_initials=1", "--set", "n_times=3"],
-        env={"EXP_SEED": "77"})
-    assert res.exit_code == 0, res.output
-    summary = json.loads((out / "rmt-decay-summary.json").read_text())
-    assert summary["seed"] == 77
+    default = xp.ExperimentConfig().seed
+    for name, value, want in (("EXP_SEED", "77", 77),
+                              ("EXP_RMT_DECAY_SEED", "5", default)):
+        out = tmp_path / name
+        res = runner.invoke(main, [
+            "rmt-decay", "--out", str(out), "--set", "n_env=12",
+            "--set", "coupling=0.0", "--set", "n_hamiltonians=1",
+            "--set", "n_initials=1", "--set", "n_times=3"],
+            env={name: value})
+        assert res.exit_code == 0, res.output
+        summary = json.loads((out / "rmt-decay-summary.json").read_text())
+        assert summary["seed"] == want, name
 
 
 def test_cli_presets_listing():

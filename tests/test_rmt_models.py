@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -258,50 +256,14 @@ def test_monte_carlo_single_realization_equals_trajectory():
     assert avg.n_realizations == 1
 
 
-def test_monte_carlo_deterministic_and_thread_invariant():
+def test_monte_carlo_deterministic():
     spec = small_spec(n_env=8)
     params = lr.InitParams(theta=0.2, phi=0.5)
     times = np.linspace(0.0, 2.0, 4)
     a = rm.monte_carlo(spec, params, times, 3, 2, qdeco.rng(5))
     b = rm.monte_carlo(spec, params, times, 3, 2, qdeco.rng(5))
-    c = rm.monte_carlo(spec, params, times, 3, 2, qdeco.rng(5), threads=2)
     assert np.array_equal(a.purity, b.purity)
-    assert np.array_equal(a.purity, c.purity)
-    assert np.array_equal(a.purity_std, c.purity_std)
-
-
-def test_threads_take_turns_on_numpy_lapack(monkeypatch):
-    # numpy's eigh, eigvalsh and matmul release the GIL; run side by side by
-    # the threads pool, two threaded OpenBLAS calls slowed a GOE run 1.4x.
-    # The reduced states' 4x4 calls are too small to matter.
-    active, peak, guard = [0], [0], threading.Lock()
-
-    def tracking(fn):
-        def wrapped(*args, **kw):
-            if np.shape(args[0])[-1] <= 4:
-                return fn(*args, **kw)
-            with guard:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-            try:
-                return fn(*args, **kw)
-            finally:
-                with guard:
-                    active[0] -= 1
-        return wrapped
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, tracking(getattr(np.linalg, name)))
-    monkeypatch.setattr(np, "matmul", tracking(np.matmul))
-    spec = rm.ModelSpec("spectator", 128, "GOE", 0.1, (0.5, 0.0))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        rm.monte_carlo(spec, lr.InitParams(theta=0.3), np.linspace(0.0, 5.0, 9),
-                       6, 2, qdeco.rng(5), threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert peak[0] == 1
+    assert np.array_equal(a.purity_std, b.purity_std)
 
 
 def _random_angle(g):
@@ -314,9 +276,9 @@ def test_monte_carlo_families_share_hamiltonians():
     times = np.linspace(0.0, 3.0, 4)
     fields = ("purity", "purity_std", "entropy", "offdiag")
 
-    def run(families, threads=1, **kw):
+    def run(families, **kw):
         return rm.monte_carlo(spec, params, times, 3, 2, qdeco.rng(9),
-                              threads=threads, params_sampler=families, **kw)
+                              params_sampler=families, **kw)
 
     both = run((None, _random_angle))
     assert both[0].n_realizations == both[1].n_realizations == 3 * 2
@@ -327,9 +289,6 @@ def test_monte_carlo_families_share_hamiltonians():
     first = run([_random_angle, None])[0]
     assert first.purity.tobytes() == run(_random_angle).purity.tobytes()
     assert not np.array_equal(both[0].purity, both[1].purity)
-    for a, b in zip(both, run((None, _random_angle), threads=2)):
-        for name in fields:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     # one sampler with collect_samples: the average and every sample, as the
     # unbatched loop over Hamiltonians and initial states gives them
     avg, samples = run(_random_angle, collect_samples=True)
