@@ -248,8 +248,9 @@ def _fit_window(cfg: ExperimentConfig, default):
 
 def _linear_slope(t, y):
     """Least-squares slope, or None when fewer than two distinct abscissae
-    leave it undetermined."""
-    if len(np.unique(t)) < 2:
+    leave it undetermined (np.unique would load numpy.ma)."""
+    t = np.asarray(t)
+    if t.size < 2 or t.min() == t.max():
         return None
     a = np.vstack([t, np.ones_like(t)]).T
     return float(np.linalg.lstsq(a, y, rcond=None)[0][0])

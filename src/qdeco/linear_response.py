@@ -164,7 +164,9 @@ def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
                                  f"t = {t_max:.3g} exceeds {MAX_GRID_POINTS}")
     n = max(256, int(np.ceil(n)))
     base = np.linspace(0.0, t_max, n)
-    grid = np.union1d(np.union1d(base, times), [tau_h] if tau_h < t_max else [])
+    # sorted distinct points, as np.union1d gives them without loading numpy.ma
+    grid = np.sort(np.concatenate([base, times, [tau_h] if tau_h < t_max else []]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     f = b2(beta, grid / tau_h) * (g1 + g2 * np.cos(delta * grid))
     c0 = cumulative_trapezoid(f, grid)
     c1 = cumulative_trapezoid(grid * f, grid)

@@ -51,17 +51,31 @@ def sample_gaussian(sigma, x0, gen, size=None):
 def sample_matrix(spec: EnsembleSpec, gen) -> np.ndarray:
     """Random member of the ensemble, Hermitian by construction: the stream of
     ``sample_gaussian`` on the diagonal, then on a full (n, n) grid whose
-    strictly upper entries alone go through the polar transform."""
+    strictly upper entries alone go through the polar transform.  The
+    gathered uniforms are transformed in place, so each draw's (n, n) grid
+    is the only full-size scratch."""
     n = spec.dim
     goe = spec.kind == "GOE"
     diag = sample_gaussian(np.sqrt(2.0) if goe else 1.0, 0.0, gen, n).real
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    r = np.sqrt(-2.0 * np.log(1.0 - gen.random((n, n))[upper]))
-    phase = 2.0 * np.pi * gen.random((n, n))[upper]
-    off = np.cos(phase) * r if goe else 1.0 / np.sqrt(2.0) * np.exp(1j * phase) * r
-    m = np.zeros((n, n), dtype=off.dtype)
+    r = gen.random((n, n))[upper]
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    off = gen.random((n, n))[upper]
+    off *= 2.0 * np.pi
+    if goe:
+        np.cos(off, out=off)
+    else:
+        off = 1j * off
+        np.exp(off, out=off)
+        off *= 1.0 / np.sqrt(2.0)
+    off *= r
+    del r
+    m = np.empty((n, n), dtype=off.dtype)
     m[upper] = off
-    m.T[upper] = off.conj()
+    m.T[upper] = np.conjugate(off, out=off)
     m[np.diag_indices(n)] = diag
     return m
 

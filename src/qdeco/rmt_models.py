@@ -17,9 +17,12 @@ once and reused for every initial condition and time (the couplings that do
 not factorize, joint and n-qubit, diagonalize the full space; the others
 diagonalize qubit+environment blocks, ``separate`` in the product of its
 two block eigenbases; real GOE blocks by divide and conquer, ``evd``,
-complex GUE ones by ``evr``).  A batch of initial states is projected into
-the eigenbasis once; each slice of times is one phase product and one GEMM
-per block back.
+complex GUE ones by ``evr``).  Each qubit+environment block is built inside
+its drawn coupling matrix, so one copy of it is alive.  A batch of initial
+states is projected into the eigenbasis once; each slice of times is one
+phase product and one GEMM per block back, and the Monte Carlo reduces each
+slice to the central density matrices as it comes, so its memory does not
+grow with the time grid.
 
 numpy and scipy each bundle an OpenBLAS, and a run keeps its heavy LAPACK
 and BLAS calls on one of them, since threads one library leaves spinning
@@ -204,7 +207,9 @@ def _embed_add(h, op, dims, axes, scale=1.0):
     perm = list(axes) + rest
     hv = h.transpose(perm + [p + n for p in perm])
     da = [dims[a] for a in axes]
-    opt = scale * op.reshape(da + da)
+    opt = op.reshape(da + da)
+    if scale != 1.0:
+        opt = scale * opt
     k = len(axes)
     for r in np.ndindex(*[dims[i] for i in rest]):
         idx = (slice(None),) * k + r + (slice(None),) * k + r
@@ -262,7 +267,7 @@ def evolve(h, psi0, times):
 # factorized propagation (the Monte Carlo workhorse)
 # ---------------------------------------------------------------------------
 
-_TIME_SLICE = 8  # times per back-transform GEMM; bounds the transient memory
+_TIME_SLICE = 8  # times per back-transform GEMM, and per reduction
 
 
 class _Block:
@@ -285,23 +290,26 @@ class Propagator:
     initial conditions and times (the expensive part of a realization)."""
 
     def __init__(self, spec: ModelSpec, gen):
+        self.spec = spec
         self.dims = _dims_of(spec)
         env_energies, couplings = draw_realization(spec, gen)
         self.blocks: list[_Block] = []
         phase_axes = []
         if spec.configuration in ("joint", "n-qubit"):
-            self.blocks.append(
-                _Block(_assemble(spec, env_energies, couplings),
-                       range(len(self.dims))))
+            h = _assemble(spec, env_energies, couplings)
+            del couplings  # only the assembled matrix is alive during eigh
+            self.blocks.append(_Block(h, range(len(self.dims))))
         else:
-            for qubit, (lam, v) in enumerate(zip(spec.couplings, couplings)):
+            for qubit, lam in enumerate(spec.couplings):
+                # the block lam V + delta_q (x) 1 + 1 (x) E_env, built inside
+                # the drawn V, which is released once diagonalized
+                v, couplings[qubit] = couplings[qubit], None
                 env = spec.env_of_coupling(qubit)
-                ne = spec.env_dims[env]
-                hb = (np.kron(np.diag(_qubit_energies(spec.deltas[qubit])), np.eye(ne))
-                      + np.kron(np.eye(2), np.diag(env_energies[env]))
-                      + lam * v)
+                v *= lam
+                v.reshape(-1)[::len(v) + 1] += np.add.outer(
+                    _qubit_energies(spec.deltas[qubit]), env_energies[env]).ravel()
                 self.blocks.append(
-                    _Block(hb, (_axis_of_qubit(spec, qubit), _axis_of_env(spec, env))))
+                    _Block(v, (_axis_of_qubit(spec, qubit), _axis_of_env(spec, env))))
             phase_axes = [((_axis_of_qubit(spec, q),), _qubit_energies(spec.deltas[q]))
                           for q in range(spec.num_coupled, spec.num_qubits)]
         # eigenstate energies: block energies plus uncoupled splittings
@@ -339,25 +347,52 @@ class Propagator:
                 view[...] = y.reshape(view.shape)
             src = dst
 
+    def _slices(self, psi, times, out=None):
+        """Evolve a batch psi (batch, total_dim) slice of times by slice,
+        yielding each slice's first time index and its states (len(slice),
+        batch, total_dim).  These land in ``out`` when given, else in one
+        buffer that the next slice overwrites.  The batch is projected into
+        the eigenbasis once; each slice is one phase product and one GEMM
+        per block back."""
+        y = np.empty_like(psi)
+        self._rotate(psi, y, adjoint=True)
+        if out is None:
+            buffer = np.empty((min(len(times), _TIME_SLICE),) + psi.shape, dtype=complex)
+        for k in range(0, len(times), _TIME_SLICE):
+            t = times[k:k + _TIME_SLICE]
+            phases = np.exp(-1j * np.multiply.outer(t, self.energies))
+            dst = buffer[:len(t)] if out is None else out[k:k + len(t)]
+            self._rotate(phases[:, None, :] * y, dst, adjoint=False)
+            yield k, dst
+
     def states(self, psi0, times):
         """Evolve a batch of initial states.
 
         psi0: (batch, total_dim) or (total_dim,); returns
         (len(times), batch, total_dim) or (len(times), total_dim).
-        The batch is projected into the eigenbasis once; each slice of
-        times is one phase product and one GEMM per block back.
         """
         single = np.ndim(psi0) == 1
         psi = np.atleast_2d(np.asarray(psi0, dtype=complex))
-        y = np.empty_like(psi)
-        self._rotate(psi, y, adjoint=True)
         times = np.asarray(times, dtype=float)
         out = np.empty((len(times),) + psi.shape, dtype=complex)
-        for k in range(0, len(times), _TIME_SLICE):
-            t = times[k:k + _TIME_SLICE]
-            phases = np.exp(-1j * np.multiply.outer(t, self.energies))
-            self._rotate(phases[:, None, :] * y, out[k:k + len(t)], adjoint=False)
+        for _ in self._slices(psi, times, out):
+            pass
         return out[:, 0, :] if single else out
+
+    def central_states(self, psi0s, times, groups: int = 1):
+        """Central density matrices of a batch of evolved states, shaped
+        (groups, len(times), batch // groups, d, d): group g holds the
+        consecutive initial states g * batch // groups onwards.  Each slice
+        of times is reduced, group by group, as soon as it is computed, so
+        the memory does not grow with the time grid beyond these matrices."""
+        psi = np.asarray(psi0s, dtype=complex)
+        times = np.asarray(times, dtype=float)
+        d = 1 << self.spec.num_qubits
+        rhos = np.empty((groups, len(times), len(psi) // groups, d, d), dtype=complex)
+        for k, states in self._slices(psi, times):
+            for rho, part in zip(rhos, np.split(states, groups, axis=1)):
+                rho[k:k + len(states)] = reduce_central(self.spec, part)
+        return rhos
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +429,10 @@ def reduce_central(spec: ModelSpec, psi) -> np.ndarray:
     return np.vecdot(m[..., None, :, :], m[..., :, None, :])
 
 
-def _measure(spec: ModelSpec, states, times) -> Trajectory:
-    """Observables of states shaped (len(times), ..., total_dim); the
-    series come out shaped (..., len(times))."""
-    return measure(times, np.moveaxis(reduce_central(spec, states), 0, -3))
+def _measure(rhos, times) -> Trajectory:
+    """Observables of central density matrices shaped (len(times), ..., d,
+    d); the series come out shaped (..., len(times))."""
+    return measure(times, np.moveaxis(rhos, 0, -3))
 
 
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
@@ -419,6 +454,10 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     average per family.  So the first family averages exactly what a
     single-family call with the same generator does.  ``collect_samples``
     takes a single family only (ConfigError otherwise).
+
+    Each Hamiltonian's states are reduced to the central density matrices
+    slice of times by slice (``Propagator.central_states``), so no state
+    is kept beyond its slice.
     """
     if n_hamiltonians < 1 or n_initials < 1:
         raise ConfigError("realization counts must be at least 1")
@@ -436,8 +475,8 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
         for i, sampler in enumerate(samplers):
             p = sampler(g) if sampler is not None else params
             psi0s[i] = initial_state(spec, central_state(spec, p, params2), g)
-        states = np.split(prop.states(psi0s, t), len(families), axis=1)
-        return [_measure(spec, s, t) for s in states]
+        return [_measure(rhos, t)
+                for rhos in prop.central_states(psi0s, t, len(families))]
 
     batches = [one_hamiltonian(g) for g in gen.spawn(n_hamiltonians)]
     avgs = [average(family) for family in zip(*batches)]
@@ -468,6 +507,6 @@ def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen) -> np
         assert abs(e0.conj() @ e1) < 1e-12
         psi0 = np.concatenate([e0, e1]) / np.sqrt(2.0)
         return metrics.unitality_distance(
-            reduce_central(spec, prop.states(psi0, t)))
+            prop.central_states(psi0[None], t)[0, :, 0])
 
     return np.mean([one(g) for g in gen.spawn(n_realizations)], axis=0)

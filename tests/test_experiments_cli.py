@@ -209,14 +209,16 @@ def test_byte_identical_outputs(tmp_path):
 def test_runs_import_only_the_scipy_they_call(tmp_path):
     # scipy is imported where it is called: kicked-Ising runs at any size,
     # spectral-stats and GOE random-matrix runs (numpy's LAPACK) load none of
-    # it, a GUE decay run only scipy.linalg (its eigh and GEMMs)
+    # it, a GUE decay run only scipy.linalg (its eigh and GEMMs).  Those that
+    # load no scipy load no numpy.ma either (np.unique and np.union1d would)
     script = (
         "import ast, sys\n"
         "import qdeco.experiments as xp\n"
         "kind, kw = ast.literal_eval(sys.argv[2])\n"
         "cfg = xp.ExperimentConfig(kind=kind, seed=3, out=sys.argv[1], **kw)\n"
         "xp.write_outputs(cfg, *xp.run(cfg))\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.startswith('scipy') or m == 'numpy.ma')))\n")
     src = str(Path(xp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -11,6 +11,7 @@ from qdeco import metrics, qstate
 from qdeco import linear_response as lr
 from qdeco import rmt_models as rm
 from qdeco.errors import ConfigError, ResourceLimitError
+from qdeco.trajectory import average
 
 
 def small_spec(**kw):
@@ -25,7 +26,7 @@ def run_trajectory(spec, params, times, gen):
     ``monte_carlo`` must reproduce."""
     prop = rm.Propagator(spec, gen)
     psi0 = rm.initial_state(spec, rm.central_state(spec, params), gen)
-    return rm._measure(spec, prop.states(psi0, times), times)
+    return rm._measure(rm.reduce_central(spec, prop.states(psi0, times)), times)
 
 
 def test_spec_validation():
@@ -141,6 +142,39 @@ def test_propagator_matches_dense_evolution(cfg_kw):
         assert all(np.isrealobj(block.q) == real for block in prop.blocks)
 
 
+@pytest.mark.parametrize("ensemble", ["GOE", "GUE"])
+@pytest.mark.parametrize("cfg_kw", [
+    dict(configuration="one-qubit", n_env=9, coupling=0.17, delta=0.6),
+    dict(configuration="spectator", n_env=9, coupling=0.17, delta=(0.6, 1.1)),
+    dict(configuration="separate", n_env=(5, 7), coupling=(0.2, 0.1),
+         delta=(0.5, 0.9)),
+])
+def test_block_equals_kron_construction(monkeypatch, cfg_kw, ensemble):
+    # each block, built inside its drawn coupling, is entry for entry the sum
+    # delta_q (x) 1 + 1 (x) E_env + lambda V of the same draws
+    spec = rm.ModelSpec(ensemble=ensemble, **cfg_kw)
+    got = []
+
+    class Recording(rm._Block):
+        def __init__(self, matrix, axes):
+            got.append(matrix.copy())
+            super().__init__(matrix, axes)
+
+    monkeypatch.setattr(rm, "_Block", Recording)
+    rm.Propagator(spec, qdeco.rng(11))
+    env_energies, couplings = rm.draw_realization(spec, qdeco.rng(11))
+    want = []
+    for qubit, (lam, v) in enumerate(zip(spec.couplings, couplings)):
+        env = spec.env_of_coupling(qubit)
+        want.append(
+            np.kron(np.diag(rm._qubit_energies(spec.deltas[qubit])),
+                    np.eye(spec.env_dims[env]))
+            + np.kron(np.eye(2), np.diag(env_energies[env])) + lam * v)
+    assert len(got) == len(want) == spec.num_coupled
+    for block, kron in zip(got, want):
+        assert block.dtype == kron.dtype and np.array_equal(block, kron)
+
+
 @settings(max_examples=30, deadline=None)
 @given(configuration=st.sampled_from(["one-qubit", "spectator", "separate",
                                       "joint", "n-qubit"]),
@@ -182,6 +216,38 @@ def test_propagator_transient_memory(ensemble):
     assert peak < 1.5 * states.nbytes
 
 
+def test_monte_carlo_memory_independent_of_time_grid():
+    # each slice of times is reduced as soon as it is computed, so the peak
+    # stays far below the (times, batch, dim) array of every state
+    spec = rm.ModelSpec("spectator", 64, "GUE", 0.05, (0.8, 0.6))
+    params = lr.InitParams(theta=0.3, phi=0.5)
+    times = np.linspace(0.0, 2 * spec.nominal_tau_h(), 401)
+    rm.monte_carlo(spec, params, times[:3], 1, 2, qdeco.rng(1))  # imports
+    tracemalloc.start()
+    try:
+        rm.monte_carlo(spec, params, times, 1, 15, qdeco.rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    all_states = len(times) * 15 * spec.total_dim * 16
+    assert peak < 0.5 * all_states
+
+
+def test_propagator_keeps_one_copy_of_each_block():
+    # the block is built inside the drawn coupling and the draw transforms
+    # its uniforms in place: no kron terms or full-size transform scratch
+    spec = rm.ModelSpec("one-qubit", 256, "GOE", 0.05, 0.8)
+    rm.Propagator(spec, qdeco.rng(2))
+    tracemalloc.start()
+    try:
+        rm.Propagator(spec, qdeco.rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (2 * 256) ** 2 * 8
+    assert peak <= 2.5 * block
+
+
 @pytest.mark.parametrize("spec", [
     small_spec(n_env=6),
     rm.ModelSpec("n-qubit", 4, "GUE", 0.2, (0.3, 0.0, 0.5), n_qubits=3)])
@@ -195,7 +261,7 @@ def test_stacked_measure_matches_per_sample_loop(spec):
                       for _ in range(3)])
     times = np.linspace(0.0, 2.0, 4)
     states = prop.states(psi0s, times)
-    tr = rm._measure(spec, states, times)
+    tr = rm._measure(rm.reduce_central(spec, states), times)
     for i in range(3):
         for k in range(len(times)):
             rho = rm.reduce_central(spec, states[k, i])
@@ -299,12 +365,40 @@ def test_monte_carlo_families_share_hamiltonians():
         for _ in range(2):
             central = rm.central_state(spec, _random_angle(g))
             psi0 = rm.initial_state(spec, central, g)
-            want.append(rm._measure(spec, prop.states(psi0, times), times).purity)
+            rhos = rm.reduce_central(spec, prop.states(psi0, times))
+            want.append(rm._measure(rhos, times).purity)
     assert set(samples) == {"purity"} and samples["purity"].shape == (6, 4)
     assert np.max(np.abs(samples["purity"] - np.array(want))) < 1e-12
     # several families keep no per-sample series
     with pytest.raises(ConfigError):
         run((None, _random_angle), collect_samples=True)
+
+
+def test_sliced_reduction_matches_full_states():
+    # 17 times: two slices of 8 and a last one of 1; two families, each
+    # reduced on its own columns, bit for bit as from the full state array
+    spec = small_spec(n_env=10)
+    params = lr.InitParams(theta=0.2, phi=0.5)
+    times = np.linspace(0.0, 3.0, 17)
+    families = (None, _random_angle)
+    got = rm.monte_carlo(spec, params, times, 2, 3, qdeco.rng(8),
+                         params_sampler=families)
+    batches = []
+    for g in qdeco.rng(8).spawn(2):
+        prop = rm.Propagator(spec, g)
+        psi0s = np.array([
+            rm.initial_state(spec, rm.central_state(
+                spec, params if f is None else f(g)), g)
+            for f in families for _ in range(3)])
+        full = [rm.reduce_central(spec, s)
+                for s in np.split(prop.states(psi0s, times), 2, axis=1)]
+        sliced = prop.central_states(psi0s, times, 2)
+        assert [r.tobytes() for r in sliced] == [r.tobytes() for r in full]
+        batches.append([rm._measure(r, times) for r in full])
+    for avg, family in zip(got, zip(*batches)):
+        want = average(family)
+        for name in ("purity", "purity_std", "concurrence", "entropy", "offdiag"):
+            assert getattr(avg, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_spectator_depends_only_on_reduced_state():
