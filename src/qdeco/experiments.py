@@ -26,6 +26,9 @@ from .trajectory import average
 
 # bound on every number a config sets: a product of four stays finite
 MAX_MAGNITUDE = 1e50
+# bound on the arrays a random-matrix run plans to hold (``_PLANS``): about
+# twice the 537 MB of a complex block at the 2048 bath cap and its eigenvectors
+MAX_PLAN_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -394,13 +397,17 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     return {"rmt-sigma": table}, summary
 
 
+def _unitality_spec(cfg: ExperimentConfig, n: int) -> rm.ModelSpec:
+    return rm.ModelSpec("one-qubit", n, cfg.ensemble, cfg.coupling,
+                        cfg.delta[0], env_spectrum=cfg.env_spectrum)
+
+
 def _run_unitality(cfg: ExperimentConfig, gen):
     sizes = [int(n) for n in cfg.n_env_list]
     rows = []
     finals = []
     for n in sizes:
-        spec = rm.ModelSpec("one-qubit", n, cfg.ensemble, cfg.coupling,
-                            cfg.delta[0], env_spectrum=cfg.env_spectrum)
+        spec = _unitality_spec(cfg, n)
         tau = spec.nominal_tau_h()
         times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
         dist = rm.unitality_experiment(spec, times, cfg.n_realizations, gen)
@@ -623,9 +630,54 @@ _RUNNERS = {
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
+# ---------------------------------------------------------------------------
+# plans: a random-matrix run's largest arrays in bytes, checked before any draw
+# ---------------------------------------------------------------------------
+
+_CELL_BYTES = 80  # a table cell: its float, the arrays it came from, two CSV texts
+
+
+def _plan_rmt_decay(cfg: ExperimentConfig) -> int:
+    spec = _model_spec(cfg, cfg.delta[0])
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials)
+            + _CELL_BYTES * 10 * len(cfg.delta) * cfg.n_times)
+
+
+def _plan_rmt_cp(cfg: ExperimentConfig) -> int:
+    # one cell per sample to collect and bin it, and up to four per bin
+    spec = _model_spec(cfg, cfg.delta[0])
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials)
+            + _CELL_BYTES * 5 * cfg.n_hamiltonians * cfg.n_initials * cfg.n_times)
+
+
+def _plan_rmt_sigma(cfg: ExperimentConfig) -> int:
+    # two times and two initial-state families per Hamiltonian, largest bath
+    spec = _model_spec(replace(cfg, n_env=int(max(cfg.n_env_list))), cfg.delta[0])
+    return rm.planned_bytes(spec, 2, cfg.n_hamiltonians, 2 * cfg.n_initials)
+
+
+def _plan_unitality(cfg: ExperimentConfig) -> int:
+    # each table row is also a Python tuple of three numbers, about 3 cells
+    spec = _unitality_spec(cfg, int(max(cfg.n_env_list)))
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_realizations, 1)
+            + _CELL_BYTES * 6 * len(cfg.n_env_list) * cfg.n_times)
+
+
+_PLANS = {
+    "rmt-decay": _plan_rmt_decay,
+    "rmt-cp": _plan_rmt_cp,
+    "rmt-sigma": _plan_rmt_sigma,
+    "unitality": _plan_unitality,
+}
+
 
 def run(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (tables, summary)."""
+    plan = _PLANS[cfg.kind](cfg) if cfg.kind in _PLANS else 0
+    if plan > MAX_PLAN_BYTES:
+        raise ResourceLimitError(
+            f"{cfg.kind} plans {plan / 2**30:.3g} GiB of arrays, above the "
+            f"{MAX_PLAN_BYTES / 2**30:g} GiB budget")
     gen = rng(cfg.seed)
     tables, summary = _RUNNERS[cfg.kind](cfg, gen)
     summary["kind"] = cfg.kind

@@ -18,11 +18,16 @@ not factorize, joint and n-qubit, diagonalize the full space; the others
 diagonalize qubit+environment blocks, ``separate`` in the product of its
 two block eigenbases; real GOE blocks by divide and conquer, ``evd``,
 complex GUE ones by ``evr``).  Each qubit+environment block is built inside
-its drawn coupling matrix, so one copy of it is alive.  A batch of initial
-states is projected into the eigenbasis once; each slice of times is one
-phase product and one GEMM per block back, and the Monte Carlo reduces each
-slice to the central density matrices as it comes, so its memory does not
-grow with the time grid.
+its drawn coupling matrix, so one copy of it is alive.  A complex matrix (a
+GUE block or bath draw, or an assembled joint or n-qubit Hamiltonian) is
+diagonalized inside itself: conjugated in place, the transpose of a
+C-ordered Hermitian matrix is the same matrix in Fortran order, which LAPACK
+overwrites where scipy would copy it first.  numpy's real ``eigh`` always
+works on a copy, so a GOE block is held twice while it is diagonalized.  A
+batch of initial states is projected into the eigenbasis once; each slice of
+times is one phase product and one GEMM per block back, and the Monte Carlo
+reduces each slice to the central density matrices as it comes, so its
+memory does not grow with the time grid.
 
 numpy and scipy each bundle an OpenBLAS, and a run keeps its heavy LAPACK
 and BLAS calls on one of them, since threads one library leaves spinning
@@ -153,11 +158,19 @@ def _qubit_energies(delta: float) -> np.ndarray:
     return np.array([delta / 2.0, -delta / 2.0])
 
 
+def _fortran_hermitian(h):
+    """The C-ordered Hermitian ``h``, conjugated in place (exact), viewed as
+    its transpose: the same matrix in Fortran order, which scipy's LAPACK
+    wrappers overwrite with ``overwrite_a`` instead of copying it first."""
+    return np.conjugate(h, out=h).T
+
+
 def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
     h = sample_matrix(EnsembleSpec(spec.ensemble, dim), gen)
     if np.iscomplexobj(h):
         from scipy.linalg import eigvalsh
-        raw = eigvalsh(h, driver="evd")  # on scipy's OpenBLAS, as the blocks
+        # on scipy's OpenBLAS, as the blocks, and inside the drawn matrix
+        raw = eigvalsh(_fortran_hermitian(h), driver="evd", overwrite_a=True)
     else:
         raw = np.linalg.eigvalsh(h)
     if spec.env_spectrum == "raw":
@@ -271,15 +284,20 @@ _TIME_SLICE = 8  # times per back-transform GEMM, and per reduction
 
 
 class _Block:
-    """Eigendecomposed sub-Hamiltonian acting on a group of state axes."""
+    """Eigendecomposed sub-Hamiltonian acting on a group of state axes.
+
+    A complex matrix is consumed: LAPACK overwrites it.  A real one is left
+    as it is, since numpy's ``eigh`` works on its own copy."""
 
     def __init__(self, matrix, axes):
         # evd (numpy's eigh) is about twice as fast as evr on real blocks,
         # slower on complex ones; each stays on the OpenBLAS that its run's
-        # other LAPACK and BLAS calls use (module docstring)
+        # other LAPACK and BLAS calls use (module docstring).  scipy's finite
+        # check guards LAPACK: ModelSpec does not check that a coupling is finite
         if np.iscomplexobj(matrix):
             from scipy.linalg import eigh
-            self.energies, self.q = eigh(matrix, driver="evr")
+            self.energies, self.q = eigh(_fortran_hermitian(matrix), driver="evr",
+                                         overwrite_a=True)
         else:
             self.energies, self.q = np.linalg.eigh(matrix)
         self.axes = tuple(axes)
@@ -433,6 +451,23 @@ def _measure(rhos, times) -> Trajectory:
     """Observables of central density matrices shaped (len(times), ..., d,
     d); the series come out shaped (..., len(times))."""
     return measure(times, np.moveaxis(rhos, 0, -3))
+
+
+def planned_bytes(spec: ModelSpec, n_times: int, n_hamiltonians: int,
+                  batch: int) -> int:
+    """Bytes of the largest arrays a ``monte_carlo`` run holds: a spawned
+    generator (1.0 KB traced, up to 2.4 KB resident) and two copies of the
+    observable series per Hamiltonian, the initial states with one slice of
+    times, the central density matrices, and each block with its
+    eigenvectors."""
+    item = 8 if spec.ensemble == "GOE" else 16
+    blocks = ([spec.total_dim] if spec.configuration in ("joint", "n-qubit")
+              else [2 * n for n in spec.env_dims])  # one block per bath
+    d = 1 << spec.num_qubits
+    return (n_hamiltonians * (2048 + 2 * 4 * 8 * batch * n_times)
+            + sum(2 * n * n * item for n in blocks)
+            + 16 * batch * spec.total_dim * (2 + 2 * min(n_times, _TIME_SLICE))
+            + 16 * n_times * batch * d * d)
 
 
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,

@@ -600,6 +600,47 @@ def test_cli_run_and_exit_codes(tmp_path):
         assert message in huge.output
 
 
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, keys in (
+        ("rmt-decay", ("n_env", "n_hamiltonians", "n_initials", "n_times")),
+        ("rmt-cp", ("n_env", "n_hamiltonians", "n_initials", "n_times")),
+        ("rmt-sigma", ("n_env_list", "n_hamiltonians", "n_initials")),
+        ("unitality", ("n_env_list", "n_realizations", "n_times")))
+    for key in keys])
+def test_cli_refuses_oversized_random_matrix_counts(tmp_path, kind, key):
+    # every count a random-matrix run reads, at 2e9, is refused from its plan
+    # before any draw: in a 2 GB address space it exits 3, quickly, with one
+    # line and no MemoryError traceback
+    args = []
+    for name, value in dict(TINY[kind], **{key: 2_000_000_000}).items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        args += ["--set", f"{name}={text}"]
+    src = str(Path(xp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "qdeco.cli", kind, "--out", str(tmp_path), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1
+
+
+def test_presets_plan_under_budget():
+    plans = [xp._PLANS[cfg.kind](cfg) for cfg in map(xp.preset, xp.preset_names())
+             if cfg.kind in xp._PLANS]
+    assert len(plans) == 6
+    assert max(plans) < xp.MAX_PLAN_BYTES
+    # a one-qubit GUE run at the bath cap is a desk-scale run too
+    cap = replace(xp.ExperimentConfig(), configuration="one-qubit", n_env=2048)
+    assert xp._PLANS["rmt-decay"](cap) < xp.MAX_PLAN_BYTES
+
+
 @pytest.mark.parametrize("kind, values, key", [
     ("unitality", "n_env_list=16 n_realizations=2 n_times=3",
      "loglog_slope_final_time"),

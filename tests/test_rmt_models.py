@@ -11,6 +11,7 @@ from qdeco import metrics, qstate
 from qdeco import linear_response as lr
 from qdeco import rmt_models as rm
 from qdeco.errors import ConfigError, ResourceLimitError
+from qdeco.rmt import EnsembleSpec, sample_matrix, unfold
 from qdeco.trajectory import average
 
 
@@ -151,7 +152,9 @@ def test_propagator_matches_dense_evolution(cfg_kw):
 ])
 def test_block_equals_kron_construction(monkeypatch, cfg_kw, ensemble):
     # each block, built inside its drawn coupling, is entry for entry the sum
-    # delta_q (x) 1 + 1 (x) E_env + lambda V of the same draws
+    # delta_q (x) 1 + 1 (x) E_env + lambda V of the same draws, and its
+    # eigenpairs, computed inside the block for GUE, equal bit for bit those
+    # of the copying calls on that sum
     spec = rm.ModelSpec(ensemble=ensemble, **cfg_kw)
     got = []
 
@@ -161,7 +164,7 @@ def test_block_equals_kron_construction(monkeypatch, cfg_kw, ensemble):
             super().__init__(matrix, axes)
 
     monkeypatch.setattr(rm, "_Block", Recording)
-    rm.Propagator(spec, qdeco.rng(11))
+    prop = rm.Propagator(spec, qdeco.rng(11))
     env_energies, couplings = rm.draw_realization(spec, qdeco.rng(11))
     want = []
     for qubit, (lam, v) in enumerate(zip(spec.couplings, couplings)):
@@ -173,6 +176,19 @@ def test_block_equals_kron_construction(monkeypatch, cfg_kw, ensemble):
     assert len(got) == len(want) == spec.num_coupled
     for block, kron in zip(got, want):
         assert block.dtype == kron.dtype and np.array_equal(block, kron)
+    for block, kron in zip(prop.blocks, want):
+        energies, q = (sla.eigh(kron, driver="evr") if ensemble == "GUE"
+                       else np.linalg.eigh(kron))
+        assert np.array_equal(block.energies, energies)
+        assert np.array_equal(block.q, q)
+    # a GUE bath spectrum is the unfolding of the copying evd call on its draw
+    g = qdeco.rng(11)
+    for n, energies in zip(spec.env_dims, env_energies):
+        h = sample_matrix(EnsembleSpec(ensemble, n), g)
+        raw = (sla.eigvalsh(h, driver="evd") if ensemble == "GUE"
+               else np.linalg.eigvalsh(h))
+        assert np.array_equal(energies, np.sort(unfold(raw).energies)
+                              * (np.pi / np.sqrt(n)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,10 +249,13 @@ def test_monte_carlo_memory_independent_of_time_grid():
     assert peak < 0.5 * all_states
 
 
-def test_propagator_keeps_one_copy_of_each_block():
+@pytest.mark.parametrize("ensemble", ["GOE", "GUE"])
+def test_propagator_keeps_one_copy_of_each_block(ensemble):
     # the block is built inside the drawn coupling and the draw transforms
-    # its uniforms in place: no kron terms or full-size transform scratch
-    spec = rm.ModelSpec("one-qubit", 256, "GOE", 0.05, 0.8)
+    # its uniforms in place: no kron terms or full-size transform scratch.
+    # A complex block and bath matrix are diagonalized inside themselves,
+    # with no Fortran-ordered copy beside them
+    spec = rm.ModelSpec("one-qubit", 256, ensemble, 0.05, 0.8)
     rm.Propagator(spec, qdeco.rng(2))
     tracemalloc.start()
     try:
@@ -244,7 +263,7 @@ def test_propagator_keeps_one_copy_of_each_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = (2 * 256) ** 2 * 8
+    block = (2 * 256) ** 2 * (8 if ensemble == "GOE" else 16)
     assert peak <= 2.5 * block
 
 
