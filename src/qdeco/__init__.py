@@ -5,9 +5,8 @@ networks), leading-order analytic purity and concurrence predictions, and
 the entanglement diagnostics tying the two together.
 
 scipy is imported inside the functions that call it, never at module top:
-loading its modules took most of a CLI process's start-up.  Only the
-random-matrix engine calls it (``scipy.linalg``), and only for complex GUE
-matrices; GOE runs, kicked-Ising runs and ``spectral-stats`` call none.
+loading its modules took most of a CLI process's start-up.  Only the dense
+oracle ``rmt_models.evolve`` and the tests call it; no run imports it.
 """
 
 from .qstate import rng

@@ -26,8 +26,8 @@ from .trajectory import average
 
 # bound on every number a config sets: a product of four stays finite
 MAX_MAGNITUDE = 1e50
-# bound on the arrays a random-matrix run plans to hold (``_PLANS``): about
-# twice the 537 MB of a complex block at the 2048 bath cap and its eigenvectors
+# bound on the arrays a run plans to hold (``_PLANS``): about twice the 537 MB
+# of a complex block at the 2048 bath cap and its eigenvectors
 MAX_PLAN_BYTES = 1 << 30
 
 
@@ -95,9 +95,13 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; choices: {EXPERIMENT_KINDS}")
         if self.threads != 1 or self.n_times < 2:
             raise ConfigError("threads must be 1 (runs are serial), n_times >= 2")
-        for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points"):
+        for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points",
+                     "rmt_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.ki_spins < 2:
+            raise ConfigError("ki_spins must be >= 2: the spectrum ring has two "
+                              "impurity sites")
         for name in ("bin_width", "t_max_over_tauh"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -563,16 +567,7 @@ def _ki_spectrum_model(cfg: ExperimentConfig, chaotic: bool):
 
 def _run_spectral_stats(cfg: ExperimentConfig, gen):
     summary: dict = {"source": cfg.source}
-    # refused before any draw: more levels than the largest bath, or a form
-    # factor's (k2_points, rmt_dim) phase array larger than the grid cap
-    cap = max(layout[3] for layout in lr.LAYOUTS.values())
-    if cfg.source in ("gue", "goe", "poisson") and cfg.rmt_dim > cap:
-        raise ResourceLimitError(f"rmt_dim = {cfg.rmt_dim} exceeds the bath cap {cap}")
     if cfg.source in ("gue", "goe"):
-        if cfg.k2_points * cfg.rmt_dim > lr.MAX_GRID_POINTS:
-            raise ResourceLimitError(
-                f"k2_points x rmt_dim = {cfg.k2_points * cfg.rmt_dim} form-factor "
-                f"phases exceed {lr.MAX_GRID_POINTS}")
         if cfg.rmt_draws < 2:
             raise ConfigError("the form factor's spread needs rmt_draws >= 2")
         spec = rmt.EnsembleSpec(cfg.source.upper(), cfg.rmt_dim)
@@ -631,7 +626,7 @@ _RUNNERS = {
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 # ---------------------------------------------------------------------------
-# plans: a random-matrix run's largest arrays in bytes, checked before any draw
+# plans: a run's largest arrays in bytes, checked before any draw
 # ---------------------------------------------------------------------------
 
 _CELL_BYTES = 80  # a table cell: its float, the arrays it came from, two CSV texts
@@ -663,17 +658,81 @@ def _plan_unitality(cfg: ExperimentConfig) -> int:
             + _CELL_BYTES * 6 * len(cfg.n_env_list) * cfg.n_times)
 
 
+def _dim(spins: int, cap: int, what: str) -> int:
+    """2^spins, refused above ``cap`` spins before so large a number forms
+    (a negative count is left to the model's own check)."""
+    if spins > cap:
+        raise ResourceLimitError(f"{what} capped at {cap} spins, got {spins}")
+    return 1 << max(spins, 0)
+
+
+def _plan_ki(cfg: ExperimentConfig, spins: int, series: int) -> int:
+    """A kicked-Ising run stepping ``spins`` spins: per realization a spawned
+    generator and two copies of ``series`` observable series; per sampled
+    step 2 KB (its list entry, reduced state and their scratch) and six
+    table cells per realization (``ki-cp`` bins every sample); eight state
+    vectors: the initial, evolved and spare states, the period's phases, and
+    the scratch of building and reducing them."""
+    dim = _dim(spins, ki.MAX_SPINS, "kicked-Ising register")
+    samples = cfg.steps // cfg.stride + 2
+    return (cfg.n_realizations * (2048 + 2 * 8 * series * samples)
+            + samples * (2048 + _CELL_BYTES * 6 * cfg.n_realizations)
+            + 8 * 16 * dim)
+
+
+def _plan_ki_run(cfg: ExperimentConfig) -> int:
+    return _plan_ki(cfg, cfg.q_env + 2, 5)
+
+
+def _plan_memory_sumrule(cfg: ExperimentConfig) -> int:
+    # every realization's ring state is kept for all the models, and each
+    # ring site's spectator purities join the full model's series
+    ring = _dim(cfg.ring_spins, ki.MAX_SPINS, "kicked-Ising register")
+    return (_plan_ki(cfg, cfg.ring_spins + cfg.memory_qubits, 5 + cfg.memory_qubits)
+            + cfg.n_realizations * 16 * ring)
+
+
+def _plan_spectral_stats(cfg: ExperimentConfig) -> int:
+    """Refuses more levels than the largest bath, a form factor's
+    (k2_points, rmt_dim) phase array larger than the grid cap, or a dense
+    period operator above its spin cap.  Then per draw its levels, bulk,
+    spacings and the Brody fit's arrays of them (56 bytes a level) and its
+    form factor; one draw's matrix with its uniforms, and one form factor's
+    phases; or the period operator with eigvals' copy and workspace."""
+    if cfg.source in ("ki-chaotic", "ki-intermediate"):
+        dim = _dim(cfg.ki_spins, ki.MAX_SPECTRUM_SPINS, "dense period operator")
+        return 3 * 16 * dim * dim
+    n = cfg.rmt_dim
+    cap = max(layout[3] for layout in lr.LAYOUTS.values())
+    if n > cap:
+        raise ResourceLimitError(f"rmt_dim = {n} exceeds the bath cap {cap}")
+    levels = cfg.rmt_draws * (56 * n + 800)
+    if cfg.source == "poisson":
+        return levels
+    if cfg.k2_points * n > lr.MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"k2_points x rmt_dim = {cfg.k2_points * n} form-factor "
+            f"phases exceed {lr.MAX_GRID_POINTS}")
+    return (levels + cfg.rmt_draws * 16 * cfg.k2_points
+            + 48 * n * n + 32 * cfg.k2_points * n)
+
+
 _PLANS = {
     "rmt-decay": _plan_rmt_decay,
     "rmt-cp": _plan_rmt_cp,
     "rmt-sigma": _plan_rmt_sigma,
     "unitality": _plan_unitality,
+    "ki-decay": _plan_ki_run,
+    "ki-cp": _plan_ki_run,
+    "ki-vs-rmt": _plan_ki_run,
+    "memory-sumrule": _plan_memory_sumrule,
+    "spectral-stats": _plan_spectral_stats,
 }
 
 
 def run(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (tables, summary)."""
-    plan = _PLANS[cfg.kind](cfg) if cfg.kind in _PLANS else 0
+    plan = _PLANS[cfg.kind](cfg)
     if plan > MAX_PLAN_BYTES:
         raise ResourceLimitError(
             f"{cfg.kind} plans {plan / 2**30:.3g} GiB of arrays, above the "

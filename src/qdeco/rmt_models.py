@@ -16,28 +16,15 @@ Evolution never exponentiates per step: each realization is diagonalized
 once and reused for every initial condition and time (the couplings that do
 not factorize, joint and n-qubit, diagonalize the full space; the others
 diagonalize qubit+environment blocks, ``separate`` in the product of its
-two block eigenbases; real GOE blocks by divide and conquer, ``evd``,
-complex GUE ones by ``evr``).  Each qubit+environment block is built inside
-its drawn coupling matrix, so one copy of it is alive.  A complex matrix (a
-GUE block or bath draw, or an assembled joint or n-qubit Hamiltonian) is
-diagonalized inside itself: conjugated in place, the transpose of a
-C-ordered Hermitian matrix is the same matrix in Fortran order, which LAPACK
-overwrites where scipy would copy it first.  numpy's real ``eigh`` always
-works on a copy, so a GOE block is held twice while it is diagonalized.  A
-batch of initial states is projected into the eigenbasis once; each slice of
-times is one phase product and one GEMM per block back, and the Monte Carlo
-reduces each slice to the central density matrices as it comes, so its
-memory does not grow with the time grid.
-
-numpy and scipy each bundle an OpenBLAS, and a run keeps its heavy LAPACK
-and BLAS calls on one of them, since threads one library leaves spinning
-slow the other's calls.  Real (GOE) linear algebra runs on numpy, whose
-``eigh`` is scipy's ``dsyevd`` bit for bit, so GOE runs import no scipy.
-Complex (GUE) linear algebra stays on scipy: numpy has no ``zheevr``, and
-its ``zheevd`` took 162 ms against 112 ms at 512 and 1.11 s against 0.77 s
-at 1024.  A GUE run's bath spectrum stays there too: moved alone onto
-numpy's threaded ``zheevd``, between scipy's ``evr`` and ``zgemm`` calls,
-it cut a spectator run from 2590-3080 to 1660-1950 samples/s.
+two block eigenbases; real GOE blocks by divide and conquer, ``dsyevd``,
+complex GUE ones by ``zheevr``).  Each qubit+environment block is built
+inside its drawn coupling matrix, and every matrix is diagonalized inside
+itself (``_lapack``), so one copy of it is alive: a GOE block's
+eigenvectors overwrite it.  A batch of initial states is projected into the
+eigenbasis inside its own array; each slice of times is one phase product
+into the slice's buffer and one GEMM per block back there, and the Monte
+Carlo reduces each slice to the central density matrices as it comes, so
+its memory does not grow with the time grid.
 """
 
 from __future__ import annotations
@@ -46,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, qstate
+from . import _lapack, metrics, qstate
 from .errors import ConfigError, ResourceLimitError
 from .linear_response import LAYOUTS, InitParams, second_qubit
 from .rmt import EnsembleSpec, sample_matrix, unfold
@@ -158,21 +145,8 @@ def _qubit_energies(delta: float) -> np.ndarray:
     return np.array([delta / 2.0, -delta / 2.0])
 
 
-def _fortran_hermitian(h):
-    """The C-ordered Hermitian ``h``, conjugated in place (exact), viewed as
-    its transpose: the same matrix in Fortran order, which scipy's LAPACK
-    wrappers overwrite with ``overwrite_a`` instead of copying it first."""
-    return np.conjugate(h, out=h).T
-
-
 def _env_energies(spec: ModelSpec, dim: int, gen) -> np.ndarray:
-    h = sample_matrix(EnsembleSpec(spec.ensemble, dim), gen)
-    if np.iscomplexobj(h):
-        from scipy.linalg import eigvalsh
-        # on scipy's OpenBLAS, as the blocks, and inside the drawn matrix
-        raw = eigvalsh(_fortran_hermitian(h), driver="evd", overwrite_a=True)
-    else:
-        raw = np.linalg.eigvalsh(h)
+    raw = _lapack.eigvalsh(sample_matrix(EnsembleSpec(spec.ensemble, dim), gen))
     if spec.env_spectrum == "raw":
         return np.sort(raw)
     flat = unfold(raw).energies
@@ -270,7 +244,9 @@ def evolve(h, psi0, times):
     h = np.asarray(h)
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise ValueError("Hamiltonian is not Hermitian")
-    energies, q = eigh(h, driver="evr")  # not _Block's driver: an independent check
+    # scipy's copying evr on the whole matrix, apart from _Block's in-place
+    # _lapack calls: an independent check
+    energies, q = eigh(h, driver="evr")
     y = q.conj().T @ np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
     return (q @ (np.exp(-1j * np.outer(energies, times)) * y[:, None])).T
@@ -284,23 +260,30 @@ _TIME_SLICE = 8  # times per back-transform GEMM, and per reduction
 
 
 class _Block:
-    """Eigendecomposed sub-Hamiltonian acting on a group of state axes.
-
-    A complex matrix is consumed: LAPACK overwrites it.  A real one is left
-    as it is, since numpy's ``eigh`` works on its own copy."""
+    """Eigendecomposed sub-Hamiltonian acting on a group of state axes.  The
+    matrix is consumed: LAPACK diagonalizes it in place (``_lapack``), and a
+    real one holds its eigenvectors afterwards."""
 
     def __init__(self, matrix, axes):
-        # evd (numpy's eigh) is about twice as fast as evr on real blocks,
-        # slower on complex ones; each stays on the OpenBLAS that its run's
-        # other LAPACK and BLAS calls use (module docstring).  scipy's finite
-        # check guards LAPACK: ModelSpec does not check that a coupling is finite
-        if np.iscomplexobj(matrix):
-            from scipy.linalg import eigh
-            self.energies, self.q = eigh(_fortran_hermitian(matrix), driver="evr",
-                                         overwrite_a=True)
-        else:
-            self.energies, self.q = np.linalg.eigh(matrix)
+        self.energies, self.q = _lapack.eigh(matrix)
         self.axes = tuple(axes)
+
+
+def _rotate_rows(rows, q, adjoint: bool):
+    """rows <- rows conj(Q) (``adjoint``) or rows Q^T, in place."""
+    if np.iscomplexobj(q):
+        if adjoint:  # conj(conj(rows) Q): no conjugated copy of Q
+            np.conjugate(rows, out=rows)
+            np.matmul(rows, q, out=rows)
+            np.conjugate(rows, out=rows)
+        else:
+            np.matmul(rows, q.T, out=rows)
+        return
+    plane = np.empty(rows.shape)
+    for part in ("real", "imag"):
+        np.matmul(np.ascontiguousarray(getattr(rows, part)), q if adjoint else q.T,
+                  out=plane)
+        getattr(rows, part)[...] = plane
 
 
 class Propagator:
@@ -337,50 +320,40 @@ class Propagator:
                 [n if a in axes else 1 for a, n in enumerate(self.dims)])
         self.energies = energy.ravel()
 
-    def _rotate(self, src, dst, adjoint: bool):
-        """dst <- Q^dagger src (``adjoint``) or Q src for states on the last
-        axis: one GEMM per block over the other axes, or one per real and
-        imaginary part for a real Q.  Trailing block axes make that a
-        reshape and the GEMM writes straight into dst; other axes go through
-        transposed copies, so dst may be src."""
-        shape = src.shape[:-1] + tuple(self.dims)
+    def _rotate(self, x, adjoint: bool):
+        """x <- Q^dagger x (``adjoint``) or Q x in place, for C-ordered states
+        on the last axis: one GEMM per block over the other axes, or one per
+        real and imaginary part for a real Q.  Trailing block axes make that
+        a reshape; other axes go through a transposed copy."""
+        shape = x.shape[:-1] + tuple(self.dims)
         for b in self.blocks:
-            axes = [a + src.ndim - 1 for a in b.axes]
+            axes = [a + x.ndim - 1 for a in b.axes]
             perm = [a for a in range(len(shape)) if a not in axes] + axes
-            x = src.reshape(shape).transpose(perm).reshape(-1, len(b.q))
-            view = dst.reshape(shape).transpose(perm)
-            trailing = perm == sorted(perm)
-            y = view.reshape(x.shape) if trailing else np.empty_like(x)
-            if np.iscomplexobj(b.q):
-                from scipy.linalg.blas import zgemm
-                # to BLAS, a row-major (rows, n) array is a column-major (n, rows) one
-                zgemm(1.0, b.q, x.T, trans_a=2 * adjoint, c=y.T, overwrite_c=True)
-            else:
-                plane = np.empty(x.shape)
-                for part in ("real", "imag"):
-                    np.matmul(np.ascontiguousarray(getattr(x, part)),
-                              b.q if adjoint else b.q.T, out=plane)
-                    getattr(y, part)[...] = plane
-            if not trailing:
-                view[...] = y.reshape(view.shape)
-            src = dst
+            view = x.reshape(shape).transpose(perm)
+            rows = view.reshape(-1, len(b.q))  # a view of x when trailing
+            _rotate_rows(rows, b.q, adjoint)
+            if perm != sorted(perm):
+                view[...] = rows.reshape(view.shape)
+            del rows  # a copy is freed before the next block's
 
     def _slices(self, psi, times, out=None):
-        """Evolve a batch psi (batch, total_dim) slice of times by slice,
-        yielding each slice's first time index and its states (len(slice),
-        batch, total_dim).  These land in ``out`` when given, else in one
-        buffer that the next slice overwrites.  The batch is projected into
-        the eigenbasis once; each slice is one phase product and one GEMM
-        per block back."""
-        y = np.empty_like(psi)
-        self._rotate(psi, y, adjoint=True)
+        """Evolve a C-ordered batch psi (batch, total_dim) slice of times by
+        slice, yielding each slice's first time index and its states
+        (len(slice), batch, total_dim).  These land in ``out`` when given,
+        else in one buffer that the next slice overwrites.  The batch is
+        projected into the eigenbasis once, inside ``psi``, which is
+        consumed; each slice multiplies its phases into its buffer and
+        rotates that back in place."""
+        self._rotate(psi, adjoint=True)
         if out is None:
             buffer = np.empty((min(len(times), _TIME_SLICE),) + psi.shape, dtype=complex)
         for k in range(0, len(times), _TIME_SLICE):
             t = times[k:k + _TIME_SLICE]
-            phases = np.exp(-1j * np.multiply.outer(t, self.energies))
             dst = buffer[:len(t)] if out is None else out[k:k + len(t)]
-            self._rotate(phases[:, None, :] * y, dst, adjoint=False)
+            phases = np.exp(-1j * np.multiply.outer(t, self.energies))[:, None, :]
+            np.multiply(phases, psi, out=dst)
+            del phases  # freed before the rotation's scratch
+            self._rotate(dst, adjoint=False)
             yield k, dst
 
     def states(self, psi0, times):
@@ -390,7 +363,7 @@ class Propagator:
         (len(times), batch, total_dim) or (len(times), total_dim).
         """
         single = np.ndim(psi0) == 1
-        psi = np.atleast_2d(np.asarray(psi0, dtype=complex))
+        psi = np.atleast_2d(np.array(psi0, dtype=complex))  # a copy to consume
         times = np.asarray(times, dtype=float)
         out = np.empty((len(times),) + psi.shape, dtype=complex)
         for _ in self._slices(psi, times, out):
@@ -402,8 +375,9 @@ class Propagator:
         (groups, len(times), batch // groups, d, d): group g holds the
         consecutive initial states g * batch // groups onwards.  Each slice
         of times is reduced, group by group, as soon as it is computed, so
-        the memory does not grow with the time grid beyond these matrices."""
-        psi = np.asarray(psi0s, dtype=complex)
+        the memory does not grow with the time grid beyond these matrices.
+        ``psi0s`` is consumed when it is a C-ordered complex array."""
+        psi = np.ascontiguousarray(psi0s, dtype=complex)
         times = np.asarray(times, dtype=float)
         d = 1 << self.spec.num_qubits
         rhos = np.empty((groups, len(times), len(psi) // groups, d, d), dtype=complex)
@@ -455,18 +429,28 @@ def _measure(rhos, times) -> Trajectory:
 
 def planned_bytes(spec: ModelSpec, n_times: int, n_hamiltonians: int,
                   batch: int) -> int:
-    """Bytes of the largest arrays a ``monte_carlo`` run holds: a spawned
-    generator (1.0 KB traced, up to 2.4 KB resident) and two copies of the
-    observable series per Hamiltonian, the initial states with one slice of
-    times, the central density matrices, and each block with its
-    eigenvectors."""
+    """Bytes of the arrays a ``monte_carlo`` run holds at its peak, 64 KiB of
+    small ones aside: a spawned generator (1.0 KB traced, up to 2.4 KB
+    resident) and two copies of the observable series per Hamiltonian; the
+    eigenstate energies; the initial states, once; a slice of times with its
+    rotation's scratch (one slice, two for ``separate``'s transposed copy) or
+    its phases and their temporary; the central density matrices; each block
+    once, and beside the largest while it is diagonalized, LAPACK's
+    workspace.  That is ``dsyevd``'s 2 n^2 + 6 n + 1 doubles and 5 n + 3
+    integers, or ``zheevr``'s eigenvector matrix with 33 n complex numbers
+    (OpenBLAS's block size, 32, plus one), 24 n doubles and 10 n integers."""
     item = 8 if spec.ensemble == "GOE" else 16
     blocks = ([spec.total_dim] if spec.configuration in ("joint", "n-qubit")
               else [2 * n for n in spec.env_dims])  # one block per bath
+    n = max(blocks)
+    work = (8 * (2 * n * n + 11 * n + 4) if spec.ensemble == "GOE"
+            else 16 * n * n + 800 * n)
+    scratch = max(batch * (2 if spec.configuration == "separate" else 1), 2)
     d = 1 << spec.num_qubits
-    return (n_hamiltonians * (2048 + 2 * 4 * 8 * batch * n_times)
-            + sum(2 * n * n * item for n in blocks)
-            + 16 * batch * spec.total_dim * (2 + 2 * min(n_times, _TIME_SLICE))
+    return (65536 + n_hamiltonians * (2048 + 2 * 4 * 8 * batch * n_times)
+            + sum(n * n * item for n in blocks) + work
+            + 8 * spec.total_dim
+            + 16 * spec.total_dim * (batch + min(n_times, _TIME_SLICE) * (batch + scratch))
             + 16 * n_times * batch * d * d)
 
 

@@ -207,10 +207,10 @@ def test_byte_identical_outputs(tmp_path):
 
 
 def test_runs_import_only_the_scipy_they_call(tmp_path):
-    # scipy is imported where it is called: kicked-Ising runs at any size,
-    # spectral-stats and GOE random-matrix runs (numpy's LAPACK) load none of
-    # it, a GUE decay run only scipy.linalg (its eigh and GEMMs).  Those that
-    # load no scipy load no numpy.ma either (np.unique and np.union1d would)
+    # scipy is imported where it is called, and no run calls it: kicked-Ising
+    # runs at any size, spectral-stats and random-matrix runs of both
+    # ensembles (``_lapack`` and numpy's BLAS) load none of it.  Nor do they
+    # load numpy.ma (np.unique and np.union1d would)
     script = (
         "import ast, sys\n"
         "import qdeco.experiments as xp\n"
@@ -232,40 +232,45 @@ def test_runs_import_only_the_scipy_they_call(tmp_path):
         "rmt-sigma-goe": ("rmt-sigma", TINY["rmt-sigma"]),
         "unitality-goe": ("unitality", dict(TINY["unitality"], ensemble="GOE")),
         "rmt-decay": ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE")),
+        "rmt-decay-joint": ("rmt-decay", dict(TINY["rmt-decay"], ensemble="GUE",
+                                              configuration="joint")),
+        "rmt-cp": ("rmt-cp", TINY["rmt-cp"]),
+        "unitality": ("unitality", dict(TINY["unitality"], ensemble="GUE")),
     }
-    loaded = {}
     for name, config in configs.items():
         run = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / name), repr(config)],
             env=env, check=True, capture_output=True, text=True)
-        loaded[name] = set(run.stdout.split())
-    for name in configs:
-        if name != "rmt-decay":
-            assert loaded[name] == set(), name
-    assert "scipy.linalg" in loaded["rmt-decay"]
-    for name in ("scipy.integrate", "scipy.optimize", "scipy.special"):
-        assert name not in loaded["rmt-decay"]
+        assert run.stdout.split() == [], name
 
 
-def test_gue_runs_keep_large_lapack_calls_on_scipy(monkeypatch, tmp_path):
-    # numpy and scipy each bundle an OpenBLAS; a GUE run's eigh, bath
-    # spectrum and GEMMs stay on scipy's, since numpy's threaded zheevd
-    # between them slowed the run by a third.  numpy diagonalizes only the
-    # 4x4 reduced states.
-    sizes = []
+def test_random_matrix_runs_send_large_lapack_calls_through_lapack_module(
+        monkeypatch, tmp_path):
+    # every bath spectrum and block of either ensemble is diagonalized in
+    # place by ``_lapack``; numpy's own copying eigh and eigvalsh see only
+    # the 4x4 reduced states
+    sizes = {"numpy": [], "_lapack": []}
 
-    def recording(fn):
+    def recording(fn, where):
         def wrapped(a, *args, **kw):
-            sizes.append(np.shape(a)[-1])
+            sizes[where].append(np.shape(a)[-1])
             return fn(a, *args, **kw)
         return wrapped
 
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    cfg = xp.ExperimentConfig(kind="rmt-decay", seed=3, out=str(tmp_path),
-                              **dict(TINY["rmt-decay"], ensemble="GUE", n_env=64))
-    xp.write_outputs(cfg, *xp.run(cfg))
-    assert sizes and max(sizes) <= 4
+        monkeypatch.setattr(np.linalg, name,
+                            recording(getattr(np.linalg, name), "numpy"))
+        monkeypatch.setattr(rm._lapack, name,
+                            recording(getattr(rm._lapack, name), "_lapack"))
+    for ensemble in ("GOE", "GUE"):
+        cfg = xp.ExperimentConfig(kind="rmt-decay", seed=3,
+                                  out=str(tmp_path / ensemble),
+                                  **dict(TINY["rmt-decay"], ensemble=ensemble,
+                                         n_env=64))
+        xp.write_outputs(cfg, *xp.run(cfg))
+    assert sizes["numpy"] and max(sizes["numpy"]) <= 4
+    # per Hamiltonian and ensemble: the 64-level bath, then the 128-dim block
+    assert sizes["_lapack"] == [64, 128] * 2 * TINY["rmt-decay"]["n_hamiltonians"]
 
 
 def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
@@ -549,6 +554,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     one = "memory_qubits=1 ring_spins=6"
     cases += [("memory-sumrule", f"{one} positions=1.5"),
               ("memory-sumrule", f"{one} positions=-0.5")]
+    # a level count below one, or a spectrum ring without its two impurity
+    # sites, is refused before any array is shaped by it
+    cases += [("spectral-stats", "source=poisson rmt_dim=-5"),
+              ("spectral-stats", "source=gue rmt_dim=0"),
+              ("spectral-stats", "source=ki-chaotic ki_spins=-3"),
+              ("spectral-stats", "source=ki-chaotic ki_spins=1")]
     # rmt-sigma compares with the GOE formula in the degenerate limit only
     sigma = "n_hamiltonians=1 n_initials=1"
     cases += [("rmt-sigma", f"{sigma} n_env_list=16"),
@@ -605,19 +616,37 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("kind, key", [
-    (kind, key) for kind, keys in (
+# each kind's base config with the integer keys that size its run; seed,
+# threads and stride size nothing (threads other than 1 exits 2, a large
+# stride only thins the samples)
+OVERSIZED = {
+    name: (name, TINY[name], keys) for name, keys in (
         ("rmt-decay", ("n_env", "n_hamiltonians", "n_initials", "n_times")),
         ("rmt-cp", ("n_env", "n_hamiltonians", "n_initials", "n_times")),
         ("rmt-sigma", ("n_env_list", "n_hamiltonians", "n_initials")),
-        ("unitality", ("n_env_list", "n_realizations", "n_times")))
-    for key in keys])
+        ("unitality", ("n_env_list", "n_realizations", "n_times")),
+        ("ki-decay", ("q_env", "steps", "n_realizations")),
+        ("ki-cp", ("q_env", "steps", "n_realizations")),
+        ("ki-vs-rmt", ("q_env", "steps", "n_realizations")),
+        ("memory-sumrule", ("ring_spins", "memory_qubits", "steps",
+                            "n_realizations")),
+        ("spectral-stats", ("rmt_dim", "rmt_draws", "k2_points")))}
+OVERSIZED["spectral-stats-poisson"] = (
+    "spectral-stats", dict(source="poisson", rmt_dim=40, rmt_draws=4),
+    ("rmt_dim", "rmt_draws"))
+OVERSIZED["spectral-stats-ki"] = (
+    "spectral-stats", dict(source="ki-chaotic", ki_spins=8), ("ki_spins",))
+
+
+@pytest.mark.parametrize("kind, key", [
+    (name, key) for name, (_, _, keys) in OVERSIZED.items() for key in keys])
 def test_cli_refuses_oversized_random_matrix_counts(tmp_path, kind, key):
-    # every count a random-matrix run reads, at 2e9, is refused from its plan
-    # before any draw: in a 2 GB address space it exits 3, quickly, with one
-    # line and no MemoryError traceback
+    # every count a run reads, at 2e9, is refused from its plan before any
+    # draw: in a 2 GB address space it exits 3, quickly, with one line and no
+    # MemoryError traceback
+    kind, base, _ = OVERSIZED[kind]
     args = []
-    for name, value in dict(TINY[kind], **{key: 2_000_000_000}).items():
+    for name, value in dict(base, **{key: 2_000_000_000}).items():
         text = ",".join(map(str, value)) if isinstance(value, tuple) else value
         args += ["--set", f"{name}={text}"]
     src = str(Path(xp.__file__).resolve().parents[1])
@@ -632,13 +661,18 @@ def test_cli_refuses_oversized_random_matrix_counts(tmp_path, kind, key):
 
 
 def test_presets_plan_under_budget():
-    plans = [xp._PLANS[cfg.kind](cfg) for cfg in map(xp.preset, xp.preset_names())
-             if cfg.kind in xp._PLANS]
-    assert len(plans) == 6
+    plans = [xp._PLANS[cfg.kind](cfg) for cfg in map(xp.preset, xp.preset_names())]
+    assert len(plans) == 11
     assert max(plans) < xp.MAX_PLAN_BYTES
-    # a one-qubit GUE run at the bath cap is a desk-scale run too
+    # so do each kind's defaults, a one-qubit GUE run at the 2048 bath cap,
+    # and a kicked-ring spectrum at its 12-spin cap
+    for kind in xp.EXPERIMENT_KINDS:
+        assert xp._PLANS[kind](xp.ExperimentConfig(kind=kind)) < xp.MAX_PLAN_BYTES
     cap = replace(xp.ExperimentConfig(), configuration="one-qubit", n_env=2048)
     assert xp._PLANS["rmt-decay"](cap) < xp.MAX_PLAN_BYTES
+    spectrum = xp.ExperimentConfig(kind="spectral-stats", source="ki-chaotic",
+                                   ki_spins=ki.MAX_SPECTRUM_SPINS)
+    assert xp._PLANS["spectral-stats"](spectrum) < xp.MAX_PLAN_BYTES
 
 
 @pytest.mark.parametrize("kind, values, key", [

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,8 +157,8 @@ def test_propagator_matches_dense_evolution(cfg_kw):
 def test_block_equals_kron_construction(monkeypatch, cfg_kw, ensemble):
     # each block, built inside its drawn coupling, is entry for entry the sum
     # delta_q (x) 1 + 1 (x) E_env + lambda V of the same draws, and its
-    # eigenpairs, computed inside the block for GUE, equal bit for bit those
-    # of the copying calls on that sum
+    # eigenpairs, computed inside the block, equal bit for bit those of the
+    # copying calls on that sum
     spec = rm.ModelSpec(ensemble=ensemble, **cfg_kw)
     got = []
 
@@ -253,8 +257,9 @@ def test_monte_carlo_memory_independent_of_time_grid():
 def test_propagator_keeps_one_copy_of_each_block(ensemble):
     # the block is built inside the drawn coupling and the draw transforms
     # its uniforms in place: no kron terms or full-size transform scratch.
-    # A complex block and bath matrix are diagonalized inside themselves,
-    # with no Fortran-ordered copy beside them
+    # Every block and bath matrix is diagonalized inside itself, with no
+    # Fortran-ordered copy beside it; LAPACK adds its documented workspace:
+    # dsyevd's 2n^2 + 6n + 1 doubles, or zheevr's eigenvector matrix
     spec = rm.ModelSpec("one-qubit", 256, ensemble, 0.05, 0.8)
     rm.Propagator(spec, qdeco.rng(2))
     tracemalloc.start()
@@ -263,8 +268,63 @@ def test_propagator_keeps_one_copy_of_each_block(ensemble):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = (2 * 256) ** 2 * (8 if ensemble == "GOE" else 16)
-    assert peak <= 2.5 * block
+    n = 2 * 256
+    block = n * n * (8 if ensemble == "GOE" else 16)
+    workspace = (2 * n * n + 6 * n + 1) * 8 if ensemble == "GOE" else block
+    assert peak <= 1.5 * block + workspace
+
+
+def test_goe_block_resident_once(tmp_path):
+    # numpy's eigh keeps its Fortran copy, workspace and eigenvectors in
+    # untraced memory, so the resident peak of a child process shows what
+    # tracemalloc cannot: a 1024-dim GOE block costs itself plus dsyevd's
+    # workspace (24 MiB), where a copying eigh added two more blocks (about
+    # 46 MiB in all).  The child reads its own mm's high-water mark, VmHWM:
+    # ru_maxrss would carry over the test runner's peak through exec
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    script = (
+        "import qdeco\n"
+        "from qdeco import rmt_models as rm\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "rm.Propagator(rm.ModelSpec('one-qubit', 16, 'GOE', 0.05, 0.8), qdeco.rng(2))\n"
+        "before = peak()\n"
+        "rm.Propagator(rm.ModelSpec('one-qubit', 512, 'GOE', 0.05, 0.8), qdeco.rng(2))\n"
+        "print(peak() - before)\n")
+    src = str(Path(rm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert int(run.stdout) / 1024 < 40.0  # MiB
+
+
+@pytest.mark.parametrize("ensemble", ["GOE", "GUE"])
+@pytest.mark.parametrize("spec_kw", [
+    dict(configuration="one-qubit", n_env=64),
+    dict(configuration="spectator", n_env=48),
+    dict(configuration="separate", n_env=(16, 24)),
+    dict(configuration="joint", n_env=24),
+    dict(configuration="n-qubit", n_env=8, n_qubits=3)])
+def test_plan_bounds_monte_carlo_peak(spec_kw, ensemble):
+    # planned_bytes, which refuses oversized runs, is at least what a
+    # monte_carlo call holds at its peak, in every layout
+    spec = rm.ModelSpec(ensemble=ensemble, coupling=0.1, **spec_kw)
+    params = lr.InitParams(theta=0.3, phi=0.5)
+    times = np.linspace(0.0, 2 * spec.nominal_tau_h(), 11)
+    for n_times, n_hamiltonians, batch in ((11, 3, 4), (3, 2, 1)):
+        rm.monte_carlo(spec, params, times[:3], 1, 1, qdeco.rng(1))  # imports
+        tracemalloc.start()
+        try:
+            rm.monte_carlo(spec, params, times[:n_times], n_hamiltonians, batch,
+                           qdeco.rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rm.planned_bytes(spec, n_times, n_hamiltonians, batch)
 
 
 @pytest.mark.parametrize("spec", [
