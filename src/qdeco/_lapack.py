@@ -15,11 +15,16 @@ hidden string lengths after the last argument), so a run's eigensolvers and
 its numpy BLAS calls share one library and its threads.  As in scipy,
 non-finite input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
 ``np.linalg.LinAlgError``.
+
+The same library's thread control, ``blas_threads``, pins that OpenBLAS to
+one thread while ``kicked_ising.evolve_many`` steps realizations on several
+Python threads.
 """
 
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
@@ -32,17 +37,41 @@ _SIGNATURES = {"dsyevd": (11, 2), "zheevr": (23, 3), "zheevd": (13, 2)}
 
 
 @cache
-def _routine(name: str):
-    symbol = f"scipy_{name}_64_"
+def _routine(symbol: str, argtypes: tuple, restype=None):
     try:
         fn = getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
     except AttributeError:
         raise ImportError(f"numpy's OpenBLAS exports no {symbol}: qdeco needs "
                           "a numpy wheel that bundles scipy-openblas64") from None
-    arguments, characters = _SIGNATURES[name]
-    fn.argtypes = [ctypes.c_void_p] * arguments + [ctypes.c_size_t] * characters
-    fn.restype = None
+    fn.argtypes = list(argtypes)
+    fn.restype = restype
     return fn
+
+
+def _lapack_routine(name: str):
+    arguments, characters = _SIGNATURES[name]
+    return _routine(f"scipy_{name}_64_",
+                    (ctypes.c_void_p,) * arguments + (ctypes.c_size_t,) * characters)
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS on ``n`` threads, and restore the
+    previous count afterwards, also when the block raises.  Yields whether
+    the count was set: ``False``, changing nothing, where OpenBLAS exports
+    no thread control."""
+    try:
+        get = _routine("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+        set_ = _routine("scipy_openblas_set_num_threads64_", (ctypes.c_int,))
+    except ImportError:
+        yield False
+        return
+    before = get()
+    set_(n)
+    try:
+        yield True
+    finally:
+        set_(before)
 
 
 def _call(name: str, *args) -> None:
@@ -63,7 +92,7 @@ def _call(name: str, *args) -> None:
         else:
             refs.append(ctypes.byref(a))
     info = _INT()
-    _routine(name)(*refs, ctypes.byref(info), *lengths)
+    _lapack_routine(name)(*refs, ctypes.byref(info), *lengths)
     if info.value:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info.value}")
 

@@ -1,8 +1,11 @@
 """Reproducible experiment runners behind the command line.
 
 Each experiment kind maps a validated :class:`ExperimentConfig` to one or
-more CSV tables plus a JSON-able summary.  Runs are serial, so the same
-config + seed gives byte identical output.
+more CSV tables plus a JSON-able summary.  The same config + seed gives
+byte identical output.  The random-matrix kinds run serially; the
+kicked-Ising kinds step their independent evolutions on one thread per
+usable core (``kicked_ising.evolve_many``), as many as their plan allows,
+and average them in a fixed order.
 """
 
 from __future__ import annotations
@@ -10,12 +13,15 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from . import kicked_ising as ki
 from . import linear_response as lr
 from . import metrics, qstate, rmt
@@ -44,7 +50,7 @@ class ExperimentConfig:
 
     kind: str = "rmt-decay"
     seed: int = 7
-    threads: int = 1  # runs are serial: 1 is the only value
+    threads: int = 1  # 1 is the only value: no key sets a thread count
     out: str = "results"
     # model
     configuration: str = "spectator"
@@ -94,7 +100,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; choices: {EXPERIMENT_KINDS}")
         if self.threads != 1 or self.n_times < 2:
-            raise ConfigError("threads must be 1 (runs are serial), n_times >= 2")
+            raise ConfigError("threads must be 1 (a run picks its own thread "
+                              "count), n_times >= 2")
         for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points",
                      "rmt_dim"):
             if getattr(self, name) < 1:
@@ -427,11 +434,9 @@ def _run_unitality(cfg: ExperimentConfig, gen):
 
 
 def _ki_trajectories(cfg: ExperimentConfig, gen, model, central):
-    trs = []
-    for g in gen.spawn(cfg.n_realizations):
-        psi0 = ki.initial_state(model, central, g)
-        trs.append(ki.evolve_ki(model, psi0, cfg.steps, cfg.stride))
-    return trs
+    jobs = [(model, partial(ki.initial_state, model, central, g))
+            for g in gen.spawn(cfg.n_realizations)]
+    return ki.evolve_many(jobs, cfg.steps, cfg.stride, _ki_workers(cfg))
 
 
 def _build_ki(cfg: ExperimentConfig):
@@ -511,13 +516,6 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
     rings = [ki.random_environment_state(full, g)
              for g in gen.spawn(cfg.n_realizations)]
 
-    def averaged(model, register):
-        psi0s = (qstate.tensor_product(register, ring, model.central_mask)
-                 for ring in rings)
-        avg = average([ki.evolve_ki(model, psi0, cfg.steps, cfg.stride)
-                       for psi0 in psi0s])
-        return avg.times, avg.purity
-
     def spectator(p):
         # Variant i couples register qubit i alone.  The others then feel only
         # their own kicks, local unitaries that leave the register purity as
@@ -528,13 +526,22 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
         jm = pair.couplings.copy()
         a_, b_ = pair.coupling_pairs[1]
         jm[a_, b_] = jm[b_, a_] = 0.0
-        return averaged(replace(pair, couplings=jm), qstate.ghz_state(2))[1]
+        return replace(pair, couplings=jm), qstate.ghz_state(2)
 
-    t, p_full = averaged(full, qstate.ghz_state(n))
     # one register qubit leaves no others for a partner to stand in for: the
     # only variant is the full model.  Variants at one site are one model
-    # started from the same states, so each site runs once.
-    by_site = ({p: spectator(p) for p in dict.fromkeys(positions)} if n > 1
+    # started from the same states, so each site runs once.  The full
+    # model, the largest, comes first, so the threads finish together.
+    sites = list(dict.fromkeys(positions)) if n > 1 else []
+    models = [(full, qstate.ghz_state(n))] + [spectator(p) for p in sites]
+    jobs = [(model, partial(qstate.tensor_product, register, ring,
+                            model.central_mask))
+            for model, register in models for ring in rings]
+    trs = ki.evolve_many(jobs, cfg.steps, cfg.stride, _ki_workers(cfg))
+    r = cfg.n_realizations
+    full_avg, *site_avgs = [average(trs[i:i + r]) for i in range(0, len(trs), r)]
+    t, p_full = full_avg.times, full_avg.purity
+    by_site = ({p: avg.purity for p, avg in zip(sites, site_avgs)} if n > 1
                else {positions[0]: p_full})
     spectator_p = [by_site[p] for p in positions]
     p_rule = lr.nqubit_sum_rule(spectator_p)
@@ -573,7 +580,7 @@ def _run_spectral_stats(cfg: ExperimentConfig, gen):
         spec = rmt.EnsembleSpec(cfg.source.upper(), cfg.rmt_dim)
         unfolded, clamped = [], 0
         for _ in range(cfg.rmt_draws):
-            e = np.linalg.eigvalsh(rmt.sample_matrix(spec, gen))
+            e = _lapack.eigvalsh(rmt.sample_matrix(spec, gen))
             u = rmt.unfold(e)
             unfolded.append(u.energies)
             clamped += int(u.clamped.sum())
@@ -666,30 +673,53 @@ def _dim(spins: int, cap: int, what: str) -> int:
     return 1 << max(spins, 0)
 
 
-def _plan_ki(cfg: ExperimentConfig, spins: int, series: int) -> int:
-    """A kicked-Ising run stepping ``spins`` spins: per realization a spawned
-    generator and two copies of ``series`` observable series; per sampled
-    step 2 KB (its list entry, reduced state and their scratch) and six
-    table cells per realization (``ki-cp`` bins every sample); eight state
-    vectors: the initial, evolved and spare states, the period's phases, and
-    the scratch of building and reducing them."""
-    dim = _dim(spins, ki.MAX_SPINS, "kicked-Ising register")
+def _ki_dims(cfg: ExperimentConfig) -> list[int]:
+    """Register sizes of a kicked-Ising run's models, largest first:
+    ``memory-sumrule`` runs the full register and, with more than one
+    register qubit, a ring plus two qubits per distinct position."""
+    if cfg.kind != "memory-sumrule":
+        return [_dim(cfg.q_env + 2, ki.MAX_SPINS, "kicked-Ising register")]
+    full = _dim(cfg.ring_spins + cfg.memory_qubits, ki.MAX_SPINS,
+                "kicked-Ising register")
+    if cfg.memory_qubits < 2:
+        return [full]
+    pair = _dim(cfg.ring_spins + 2, ki.MAX_SPINS, "kicked-Ising register")
+    return [full] + [pair] * len(set(cfg.positions))
+
+
+def _plan_ki(cfg: ExperimentConfig, workers: int) -> int:
+    """A kicked-Ising run on ``workers`` threads: per evolution a spawned
+    generator and two copies of its observable series; per sampled step
+    2 KB (its list entry, reduced state and their scratch) and six table
+    cells per realization (``ki-cp`` bins every sample); every model's
+    period, all built before the fan-out; and per thread five state vectors
+    of the largest model: the initial, evolved and spare states and the
+    scratch of building and reducing them.  ``memory-sumrule`` also keeps
+    every realization's ring state for all the models."""
+    dims = _ki_dims(cfg)
     samples = cfg.steps // cfg.stride + 2
-    return (cfg.n_realizations * (2048 + 2 * 8 * series * samples)
+    kept = 0
+    if cfg.kind == "memory-sumrule":
+        kept = cfg.n_realizations * 16 * _dim(cfg.ring_spins, ki.MAX_SPINS,
+                                              "kicked-Ising register")
+    return (cfg.n_realizations * len(dims) * (2048 + 2 * 8 * 5 * samples)
             + samples * (2048 + _CELL_BYTES * 6 * cfg.n_realizations)
-            + 8 * 16 * dim)
+            + 16 * (sum(dims) + 5 * workers * dims[0]) + kept)
+
+
+def _ki_workers(cfg: ExperimentConfig) -> int:
+    """Threads of a kicked-Ising run: one per usable core and at most one
+    per evolution, lowered until the plan fits the budget (one if none
+    fits, which ``run`` then refuses)."""
+    workers = min(len(os.sched_getaffinity(0)),
+                  cfg.n_realizations * len(_ki_dims(cfg)))
+    while workers > 1 and _plan_ki(cfg, workers) > MAX_PLAN_BYTES:
+        workers -= 1
+    return workers
 
 
 def _plan_ki_run(cfg: ExperimentConfig) -> int:
-    return _plan_ki(cfg, cfg.q_env + 2, 5)
-
-
-def _plan_memory_sumrule(cfg: ExperimentConfig) -> int:
-    # every realization's ring state is kept for all the models, and each
-    # ring site's spectator purities join the full model's series
-    ring = _dim(cfg.ring_spins, ki.MAX_SPINS, "kicked-Ising register")
-    return (_plan_ki(cfg, cfg.ring_spins + cfg.memory_qubits, 5 + cfg.memory_qubits)
-            + cfg.n_realizations * 16 * ring)
+    return _plan_ki(cfg, _ki_workers(cfg))
 
 
 def _plan_spectral_stats(cfg: ExperimentConfig) -> int:
@@ -725,7 +755,7 @@ _PLANS = {
     "ki-decay": _plan_ki_run,
     "ki-cp": _plan_ki_run,
     "ki-vs-rmt": _plan_ki_run,
-    "memory-sumrule": _plan_memory_sumrule,
+    "memory-sumrule": _plan_ki_run,
     "spectral-stats": _plan_spectral_stats,
 }
 

@@ -14,16 +14,21 @@ rotation and a second phase layer; the phase layers go into a per-site frame
 and into the one phase vector, so a period is one complex phase multiply
 and a few fused real rotations (``_kernels``).  Trajectories stay in the
 frame, and only the small reduced density matrices are rotated back.
+
+``evolve_many`` steps a run's independent evolutions on one Python thread
+per worker: numpy releases the GIL inside every kernel of a period.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from . import _kernels, qstate
+from . import _kernels, _lapack, qstate
 from .errors import ConfigError, ResourceLimitError
 from .trajectory import Trajectory, measure
 
@@ -332,9 +337,9 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     the off-diagonal measure follows the first central site.
     """
     period = model._period
-    psi, spare = _kernels.apply_groups(period.enter,
-                                       np.array(psi0, dtype=complex),
-                                       np.empty(len(psi0), dtype=complex))
+    psi = np.array(psi0, dtype=complex)
+    del psi0  # frees a state the caller passed and kept no reference to
+    psi, spare = _kernels.apply_groups(period.enter, psi, np.empty_like(psi))
     n_c = len(model.central_sites)
     # the central frame gates back to the original basis, highest site first
     back = reduce(np.kron, [np.eye(2) if period.frame[s] is None
@@ -355,6 +360,64 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
             k += 1
     rhos = back @ rhos @ back.conj().T
     return measure(sampled, rhos, pos)
+
+
+@cache
+def _pool():
+    # one pool for the process, so repeated runs reuse its threads and
+    # their malloc arenas.  Imported here, so that only runs that fan out
+    # pay for the import.
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                              thread_name_prefix="qdeco-ki")
+
+
+def evolve_many(jobs, steps: int, stride: int = 1, workers: int = 1) -> list:
+    """``evolve_ki`` of each ``(model, initial)`` job, whose ``initial()``
+    builds its starting state, in job order.
+
+    Up to ``workers`` threads take the jobs in order, each building its
+    state where it steps it, while numpy's OpenBLAS runs on one thread
+    (``_lapack.blas_threads``), its count restored afterwards.  Every
+    period is built first (``cached_property`` holds no lock from Python
+    3.12 on).  An evolution does not depend on the BLAS thread count, so
+    the trajectories are those of the serial loop, which runs for one
+    worker or where OpenBLAS exports no thread control."""
+    def run(job):
+        model, initial = job
+        return evolve_ki(model, initial(), steps, stride)
+
+    workers = min(workers, len(jobs))
+    if workers < 2:
+        return [run(job) for job in jobs]
+    for model, _ in jobs:
+        model._period
+    with _lapack.blas_threads(1) as pinned:
+        if not pinned:
+            return [run(job) for job in jobs]
+        results = [None] * len(jobs)
+        order = iter(range(len(jobs)))  # shared: next() holds the GIL
+        stop = threading.Event()
+
+        def work():
+            for i in order:
+                if stop.is_set():
+                    return
+                try:
+                    results[i] = run(jobs[i])
+                except BaseException:
+                    stop.set()  # the other threads finish their current job
+                    raise
+
+        futures = [_pool().submit(work) for _ in range(workers)]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()  # also when the caller is interrupted
+            for future in futures:
+                future.exception()  # waits for it
+    return results
 
 
 def floquet_matrix(model: KIModel) -> np.ndarray:

@@ -1,8 +1,10 @@
+import ctypes
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -271,36 +273,144 @@ def test_random_matrix_runs_send_large_lapack_calls_through_lapack_module(
     assert sizes["numpy"] and max(sizes["numpy"]) <= 4
     # per Hamiltonian and ensemble: the 64-level bath, then the 128-dim block
     assert sizes["_lapack"] == [64, 128] * 2 * TINY["rmt-decay"]["n_hamiltonians"]
+    # spectral-stats draws its Gaussian levels through the same calls
+    sizes["_lapack"].clear()
+    for source in ("gue", "goe"):
+        cfg = xp.ExperimentConfig(kind="spectral-stats", seed=3,
+                                  out=str(tmp_path / source),
+                                  **dict(TINY["spectral-stats"], source=source))
+        xp.write_outputs(cfg, *xp.run(cfg))
+    spectra = TINY["spectral-stats"]
+    assert sizes["_lapack"] == [spectra["rmt_dim"]] * 2 * spectra["rmt_draws"]
+    assert max(sizes["numpy"]) <= 4
 
 
 def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
     # The kicked-Ising time evolutions match byte for byte across BLAS thread
-    # counts, the 16-spin register's large reduced block included.  Left out
-    # on purpose: the random-matrix kinds (LAPACK's eigenvectors change with
+    # counts, the 16-spin register's large reduced block included, and
+    # between a child pinned to one core, which steps its evolutions
+    # serially, and one that fans them out over every core.  Left out on
+    # purpose: the random-matrix kinds (LAPACK's eigenvectors change with
     # the thread count) and spectral-stats with a kicked-ring source (so do
     # zgeev's eigenvalues).
     configs = [(kind, TINY[kind])
                for kind in ("ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule")]
     configs.append(("memory-sumrule", REGISTER))
     script = (
-        "import ast, sys\n"
+        "import ast, os, sys\n"
+        "if sys.argv[3] == 'one-core':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import qdeco.experiments as xp\n"
         "for i, (kind, kw) in enumerate(ast.literal_eval(sys.argv[2])):\n"
         "    cfg = xp.ExperimentConfig(kind=kind, seed=3,\n"
         "                              out=f'{sys.argv[1]}/{i}', **kw)\n"
+        "    print(xp._ki_workers(cfg))\n"
         "    xp.write_outputs(cfg, *xp.run(cfg))\n")
     src = str(Path(xp.__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
+    runs, workers = [], []
+    for threads, cores in (("1", "all"), ("2", "all"), ("2", "one-core")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / threads
-        subprocess.run([sys.executable, "-c", script, str(out), repr(configs)],
-                       env=env, check=True)
+        out = tmp_path / f"{threads}-{cores}"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(out), repr(configs), cores],
+            env=env, check=True, capture_output=True, text=True)
+        workers.append([int(w) for w in run.stdout.split()])
         runs.append([outputs(out / str(i)) for i in range(len(configs))])
     assert all(len(files) == 2 for files in runs[0])
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+    # the pinned child steps serially; every config has at least two
+    # evolutions, which the others spread over the cores there are
+    assert workers[2] == [1] * len(configs)
+    cores = len(os.sched_getaffinity(0))
+    assert all(w >= min(cores, 2) for w in workers[0] + workers[1])
+
+
+def _openblas_threads() -> int:
+    return ki._lapack._routine("scipy_openblas_get_num_threads64_", (),
+                               ctypes.c_int)()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_fan_out_restores_blas_threads(monkeypatch, fails):
+    # OpenBLAS runs on one thread inside the fan-out and on its previous
+    # count after it, also when an evolution raises; four usable cores are
+    # faked so the fan-out runs on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    seen = []
+    evolve_ki = ki.evolve_ki
+
+    def recording(*args, **kw):
+        seen.append(_openblas_threads())
+        if fails:
+            raise RuntimeError("evolution failed")
+        return evolve_ki(*args, **kw)
+
+    monkeypatch.setattr(ki, "evolve_ki", recording)
+    before = _openblas_threads()
+    for kind in ("ki-decay", "memory-sumrule"):
+        cfg = xp.ExperimentConfig(kind=kind, seed=3, **TINY[kind])
+        assert xp._ki_workers(cfg) > 1
+        if fails:
+            with pytest.raises(RuntimeError, match="evolution failed"):
+                xp.run(cfg)
+        else:
+            xp.run(cfg)
+        assert _openblas_threads() == before, kind
+    assert seen and set(seen) == {1}
+
+
+def test_fan_out_steps_serially_without_blas_thread_control(monkeypatch):
+    # where OpenBLAS exports no thread control the evolutions run one after
+    # another on the calling thread, with the same results
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    cfg = xp.ExperimentConfig(kind="memory-sumrule", seed=3,
+                              **TINY["memory-sumrule"])
+    fanned = xp.run(cfg)[0]["memory-sumrule"]
+    routine = ki._lapack._routine
+
+    def without_thread_control(symbol, *args):
+        if "num_threads" in symbol:
+            raise ImportError(symbol)
+        return routine(symbol, *args)
+
+    threads = []
+    evolve_ki = ki.evolve_ki
+
+    def recording(*args, **kw):
+        threads.append(threading.current_thread())
+        return evolve_ki(*args, **kw)
+
+    monkeypatch.setattr(ki._lapack, "_routine", without_thread_control)
+    monkeypatch.setattr(ki, "evolve_ki", recording)
+    serial = xp.run(cfg)[0]["memory-sumrule"]
+    assert threads and set(threads) == {threading.current_thread()}
+    assert serial.rows.tobytes() == fanned.rows.tobytes()
+
+
+def test_random_matrix_runs_never_fan_out(monkeypatch, tmp_path):
+    # only the kicked-Ising kinds enter the fan-out or touch the BLAS
+    # thread count
+    entered = []
+
+    def recording(fn, name):
+        def wrapped(*args, **kw):
+            entered.append(name)
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(ki, "evolve_many", recording(ki.evolve_many, "fan-out"))
+    monkeypatch.setattr(ki._lapack, "blas_threads",
+                        recording(ki._lapack.blas_threads, "blas"))
+    for kind, kw in TINY.items():
+        entered.clear()
+        cfg = xp.ExperimentConfig(kind=kind, seed=3, out=str(tmp_path / kind), **kw)
+        xp.write_outputs(cfg, *xp.run(cfg))
+        if kind.startswith("ki-") or kind == "memory-sumrule":
+            assert "fan-out" in entered, kind
+        else:
+            assert entered == [], kind
 
 
 def test_csv_serialization_precision(tmp_path):
@@ -325,7 +435,8 @@ def test_memory_sumrule_runner():
 
 
 def test_memory_sumrule_runs_each_site_once(monkeypatch):
-    # three register qubits at one site: the full model plus one variant
+    # three register qubits at one site: the full model plus one variant,
+    # whose evolutions start on their threads in no fixed order
     calls = []
 
     def counted(*args, **kw):
@@ -339,7 +450,7 @@ def test_memory_sumrule_runs_each_site_once(monkeypatch):
         mem_coupling=0.05, field="chaotic-soft", steps=20, stride=5,
         n_realizations=1, seed=5)
     table = xp.run(cfg)[0]["memory-sumrule"]
-    assert calls == [9, 8]
+    assert sorted(calls) == [8, 9]
     assert 1 - table.column("P_sp_0")[-1] > 1e-4
     for i in (1, 2):
         assert np.array_equal(table.column(f"P_sp_{i}"), table.column("P_sp_0"))
@@ -492,13 +603,14 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert summary["seed"] == 3
     bad = runner.invoke(main, ["rmt-decay", "--set", "bogus=1"])
     assert bad.exit_code == 2
-    # runs are serial: threads = 1 is the only value, and --threads is gone
+    # a run picks its own thread count: threads = 1 is the only value, and
+    # --threads is gone
     serial = tmp_path / "threads.ini"
     serial.write_text("[experiment]\nkind = rmt-decay\nthreads = 2\n")
     for args in (["--set", "threads=2"], ["--config", str(serial)]):
         threaded = runner.invoke(main, ["rmt-decay", *args])
         assert threaded.exit_code == 2, (args, threaded.output)
-        assert "runs are serial" in threaded.output
+        assert "a run picks its own thread count" in threaded.output
     no_option = runner.invoke(main, ["rmt-decay", "--threads", "2"])
     assert no_option.exit_code == 2, no_option.output
     assert "No such option" in no_option.output
@@ -609,6 +721,54 @@ def test_cli_run_and_exit_codes(tmp_path):
         huge = runner.invoke(main, ["spectral-stats", *args])
         assert huge.exit_code == 3, (values, huge.output)
         assert message in huge.output
+
+
+@pytest.mark.parametrize("kind, kw, tight_steps", [
+    ("ki-decay", dict(q_env=18, n_realizations=500, steps=10), 85_000),
+    ("memory-sumrule", dict(ring_spins=16, memory_qubits=4, positions=(0, 4, 8, 12),
+                            n_realizations=100, steps=10), 55_000),
+])
+def test_ki_worker_count_fits_plan_budget(monkeypatch, kind, kw, tight_steps):
+    # on 64 cores a 20-spin run cannot give each core its state vectors: the
+    # count is the largest whose plan fits, and the kind's plan is that one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    cfg = xp.ExperimentConfig(kind=kind, **kw)
+    workers = xp._ki_workers(cfg)
+    assert 1 < workers < 64
+    assert xp._plan_ki(cfg, workers) <= xp.MAX_PLAN_BYTES
+    assert xp._plan_ki(cfg, workers + 1) > xp.MAX_PLAN_BYTES
+    assert xp._PLANS[kind](cfg) == xp._plan_ki(cfg, workers)
+    # a run whose long series fit beside one thread's vectors, not beside
+    # two, runs on one thread and is not refused
+    tight = replace(cfg, n_realizations=16, steps=tight_steps, stride=1)
+    assert xp._plan_ki(tight, 1) <= xp.MAX_PLAN_BYTES < xp._plan_ki(tight, 2)
+    assert xp._ki_workers(tight) == 1
+    assert xp._PLANS[kind](tight) <= xp.MAX_PLAN_BYTES
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("ki-decay", dict(ki_kind="c", q_env=12, j_prime=0.001, steps=8,
+                      n_realizations=4)),
+    ("memory-sumrule", dict(REGISTER, ring_spins=10, n_realizations=2)),
+    ("memory-sumrule", dict(REGISTER, ring_spins=12, memory_qubits=1,
+                            positions=(0,), n_realizations=2)),
+])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_ki_plan_bounds_fan_out_peak(monkeypatch, kind, kw, cores):
+    # the plan at the run's worker count bounds the traced peak of the run,
+    # every thread's allocations included
+    import tracemalloc
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
+    assert xp._ki_workers(cfg) == cores
+    xp.run(cfg)  # first-call costs: lazy imports, caches, the thread pool
+    tracemalloc.start()
+    try:
+        xp.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= xp._PLANS[kind](cfg)
 
 
 def _limit_address_space():

@@ -1,3 +1,5 @@
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -355,6 +357,31 @@ def test_evolve_ki_matches_dense_stepping():
         got = [tr.purity, tr.entropy, tr.offdiag]
         got += [] if tr.concurrence is None else [tr.concurrence]
         assert np.max(np.abs(np.column_stack(got) - want)) < 1e-10
+
+
+def test_evolve_many_keeps_job_order_under_contention():
+    # many tiny jobs of two models on more workers than cores, with the
+    # interpreter switching threads as often as it can: a job taken twice,
+    # lost or stored under another index breaks the order of the results
+    models = [ki.build_env_config(kind, 4, 0.3, (1.4, 1.4, 0), (1.4, 1.4, 0))[0]
+              for kind in ("d", "e")]
+    jobs = [(models[i % 2], lambda i=i: ki.initial_state(
+        models[i % 2], qstate.ghz_state(2), qdeco.rng(i))) for i in range(64)]
+    want = [ki.evolve_ki(model, initial(), 6) for model, initial in jobs]
+    interval = sys.getswitchinterval()
+    done = []
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: done.append(ki.evolve_many(jobs, 6, workers=8)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(done) == 1
+    for got, ref in zip(done[0], want, strict=True):
+        assert got.purity.tobytes() == ref.purity.tobytes()
+        assert got.concurrence.tobytes() == ref.concurrence.tobytes()
 
 
 def test_zero_field_diagonal_and_zero_coupling_product():
