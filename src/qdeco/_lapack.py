@@ -18,7 +18,7 @@ non-finite input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
 
 The same library's thread control, ``blas_threads``, pins that OpenBLAS to
 one thread while ``kicked_ising.evolve_many`` steps realizations on several
-Python threads.
+Python threads, or a small register's serially.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 resource refusal.  Four
 flags can also be set through environment variables: EXP_SEED, EXP_OUT,
 EXP_CONFIG and EXP_PRESET.  No option sets a thread count: random-matrix
-runs are serial and BLAS threads use the cores, while kicked-Ising runs step
-their evolutions on one thread per usable core.
+runs are serial and BLAS threads use the cores, while kicked-Ising runs of
+16 spins or more step their evolutions on one thread per usable core.
 """
 
 from __future__ import annotations

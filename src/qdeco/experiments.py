@@ -5,7 +5,7 @@ more CSV tables plus a JSON-able summary.  The same config + seed gives
 byte identical output.  The random-matrix kinds run serially; the
 kicked-Ising kinds step their independent evolutions on one thread per
 usable core (``kicked_ising.evolve_many``), as many as their plan allows,
-and average them in a fixed order.
+from 16 spins on, and average them in a fixed order.
 """
 
 from __future__ import annotations
@@ -710,9 +710,12 @@ def _plan_ki(cfg: ExperimentConfig, workers: int) -> int:
 def _ki_workers(cfg: ExperimentConfig) -> int:
     """Threads of a kicked-Ising run: one per usable core and at most one
     per evolution, lowered until the plan fits the budget (one if none
-    fits, which ``run`` then refuses)."""
-    workers = min(len(os.sched_getaffinity(0)),
-                  cfg.n_realizations * len(_ki_dims(cfg)))
+    fits, which ``run`` then refuses).  One while the largest register has
+    fewer than ``ki.FAN_OUT_MIN_SPINS`` spins."""
+    dims = _ki_dims(cfg)
+    if dims[0] < 1 << ki.FAN_OUT_MIN_SPINS:
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), cfg.n_realizations * len(dims))
     while workers > 1 and _plan_ki(cfg, workers) > MAX_PLAN_BYTES:
         workers -= 1
     return workers

@@ -33,6 +33,13 @@ from .errors import ConfigError, ResourceLimitError
 from .trajectory import Trajectory, measure
 
 MAX_SPINS = 20  # one state vector of 2^20 amplitudes is 16 MiB
+# Below this many spins a run steps serially on one OpenBLAS thread.  A
+# 14-spin period's GEMMs gain nothing from a second BLAS thread, whose
+# spinning only slows the run when the other core is busy; and its kernels
+# last about 0.2 ms between hand-offs of the interpreter lock, so a second
+# Python thread gained from nothing to 1.45x between processes on a
+# two-vCPU VM, with the load on the other vCPU.
+FAN_OUT_MIN_SPINS = 16
 MAX_SPECTRUM_SPINS = 12
 
 # Reference kick fields, in (parallel, transverse, transverse) components.
@@ -382,18 +389,20 @@ def evolve_many(jobs, steps: int, stride: int = 1, workers: int = 1) -> list:
     period is built first (``cached_property`` holds no lock from Python
     3.12 on).  An evolution does not depend on the BLAS thread count, so
     the trajectories are those of the serial loop, which runs for one
-    worker or where OpenBLAS exports no thread control."""
+    worker or where OpenBLAS exports no thread control; the serial loop
+    also pins OpenBLAS to one thread under ``FAN_OUT_MIN_SPINS`` spins."""
     def run(job):
         model, initial = job
         return evolve_ki(model, initial(), steps, stride)
 
     workers = min(workers, len(jobs))
-    if workers < 2:
+    small = max((m.num_spins for m, _ in jobs), default=0) < FAN_OUT_MIN_SPINS
+    if workers < 2 and not small:
         return [run(job) for job in jobs]
     for model, _ in jobs:
         model._period
     with _lapack.blas_threads(1) as pinned:
-        if not pinned:
+        if workers < 2 or not pinned:
             return [run(job) for job in jobs]
         results = [None] * len(jobs)
         order = iter(range(len(jobs)))  # shared: next() holds the GIL

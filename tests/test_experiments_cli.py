@@ -289,7 +289,8 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
     # The kicked-Ising time evolutions match byte for byte across BLAS thread
     # counts, the 16-spin register's large reduced block included, and
     # between a child pinned to one core, which steps its evolutions
-    # serially, and one that fans them out over every core.  Left out on
+    # serially, and one that fans them out over every core (small registers
+    # included, which fan out only here).  Left out on
     # purpose: the random-matrix kinds (LAPACK's eigenvectors change with
     # the thread count) and spectral-stats with a kicked-ring source (so do
     # zgeev's eigenvalues).
@@ -301,6 +302,7 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
         "if sys.argv[3] == 'one-core':\n"
         "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import qdeco.experiments as xp\n"
+        "xp.ki.FAN_OUT_MIN_SPINS = 0\n"
         "for i, (kind, kw) in enumerate(ast.literal_eval(sys.argv[2])):\n"
         "    cfg = xp.ExperimentConfig(kind=kind, seed=3,\n"
         "                              out=f'{sys.argv[1]}/{i}', **kw)\n"
@@ -332,17 +334,22 @@ def _openblas_threads() -> int:
                                ctypes.c_int)()
 
 
+@pytest.mark.parametrize("fan_out", [True, False])
 @pytest.mark.parametrize("fails", [False, True])
-def test_fan_out_restores_blas_threads(monkeypatch, fails):
-    # OpenBLAS runs on one thread inside the fan-out and on its previous
-    # count after it, also when an evolution raises; four usable cores are
-    # faked so the fan-out runs on any machine
+def test_fan_out_restores_blas_threads(monkeypatch, fails, fan_out):
+    # OpenBLAS runs on one thread inside the fan-out, and in the serial loop
+    # of a small register, and on its previous count after it, also when an
+    # evolution raises; four usable cores are faked, and for the fan-out the
+    # smallest fanned-out register lowered, so both run on any machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    seen = []
+    if fan_out:
+        monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
+    seen, threads = [], set()
     evolve_ki = ki.evolve_ki
 
     def recording(*args, **kw):
         seen.append(_openblas_threads())
+        threads.add(threading.current_thread())
         if fails:
             raise RuntimeError("evolution failed")
         return evolve_ki(*args, **kw)
@@ -351,7 +358,7 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails):
     before = _openblas_threads()
     for kind in ("ki-decay", "memory-sumrule"):
         cfg = xp.ExperimentConfig(kind=kind, seed=3, **TINY[kind])
-        assert xp._ki_workers(cfg) > 1
+        assert (xp._ki_workers(cfg) > 1) == fan_out
         if fails:
             with pytest.raises(RuntimeError, match="evolution failed"):
                 xp.run(cfg)
@@ -359,12 +366,15 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails):
             xp.run(cfg)
         assert _openblas_threads() == before, kind
     assert seen and set(seen) == {1}
+    if not fan_out:
+        assert threads == {threading.current_thread()}
 
 
 def test_fan_out_steps_serially_without_blas_thread_control(monkeypatch):
     # where OpenBLAS exports no thread control the evolutions run one after
     # another on the calling thread, with the same results
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
     cfg = xp.ExperimentConfig(kind="memory-sumrule", seed=3,
                               **TINY["memory-sumrule"])
     fanned = xp.run(cfg)[0]["memory-sumrule"]
@@ -759,6 +769,7 @@ def test_ki_plan_bounds_fan_out_peak(monkeypatch, kind, kw, cores):
     # every thread's allocations included
     import tracemalloc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
     cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
     assert xp._ki_workers(cfg) == cores
     xp.run(cfg)  # first-call costs: lazy imports, caches, the thread pool
@@ -769,6 +780,21 @@ def test_ki_plan_bounds_fan_out_peak(monkeypatch, kind, kw, cores):
     finally:
         tracemalloc.stop()
     assert peak <= xp._PLANS[kind](cfg)
+
+
+@pytest.mark.parametrize("kind, kw, fans_out", [
+    ("ki-decay", dict(q_env=12, n_realizations=2), False),
+    ("ki-decay", dict(q_env=14, n_realizations=2), True),
+    ("memory-sumrule", dict(REGISTER, ring_spins=10), False),
+    ("memory-sumrule", REGISTER, True),
+])
+def test_small_ki_registers_step_serially(monkeypatch, kind, kw, fans_out):
+    # under 16 spins a second thread's gain is too small and unsteady: the
+    # run steps serially whatever the core count; from 16 spins it fans out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
+    assert (xp._ki_workers(cfg) > 1) == fans_out
+    assert xp._PLANS[kind](cfg) == xp._plan_ki(cfg, xp._ki_workers(cfg))
 
 
 def _limit_address_space():
