@@ -16,9 +16,8 @@ its numpy BLAS calls share one library and its threads.  As in scipy,
 non-finite input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
 ``np.linalg.LinAlgError``.
 
-The same library's thread control, ``blas_threads``, pins that OpenBLAS to
-one thread while ``kicked_ising.evolve_many`` steps realizations on several
-Python threads, or a small register's serially.
+The same library's thread control, ``blas_threads``, serves
+``kicked_ising.evolve_many``, which forks with OpenBLAS on one thread.
 """
 
 from __future__ import annotations
@@ -57,19 +56,20 @@ def _lapack_routine(name: str):
 @contextmanager
 def blas_threads(n: int):
     """Run the block with numpy's OpenBLAS on ``n`` threads, and restore the
-    previous count afterwards, also when the block raises.  Yields whether
-    the count was set: ``False``, changing nothing, where OpenBLAS exports
-    no thread control."""
+    previous count afterwards, also when the block raises.  Yields a function
+    that stops the library's idle threads, as its ``pthread_atfork`` handler
+    does, or ``None``, changing nothing, where it exports no thread control."""
     try:
         get = _routine("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
         set_ = _routine("scipy_openblas_set_num_threads64_", (ctypes.c_int,))
+        stop = _routine("blas_thread_shutdown_", (), ctypes.c_int)
     except ImportError:
-        yield False
+        yield None
         return
     before = get()
     set_(n)
     try:
-        yield True
+        yield stop
     finally:
         set_(before)
 

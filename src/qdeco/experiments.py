@@ -3,9 +3,9 @@
 Each experiment kind maps a validated :class:`ExperimentConfig` to one or
 more CSV tables plus a JSON-able summary.  The same config + seed gives
 byte identical output.  The random-matrix kinds run serially; the
-kicked-Ising kinds step their independent evolutions on one thread per
-usable core (``kicked_ising.evolve_many``), as many as their plan allows,
-from 16 spins on, and average them in a fixed order.
+kicked-Ising kinds step their independent evolutions in one forked process
+per usable core (``kicked_ising.evolve_many``), as many as their plan
+allows, and average them in a fixed order.
 """
 
 from __future__ import annotations
@@ -530,8 +530,7 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
 
     # one register qubit leaves no others for a partner to stand in for: the
     # only variant is the full model.  Variants at one site are one model
-    # started from the same states, so each site runs once.  The full
-    # model, the largest, comes first, so the threads finish together.
+    # started from the same states, so each site runs once.
     sites = list(dict.fromkeys(positions)) if n > 1 else []
     models = [(full, qstate.ghz_state(n))] + [spectator(p) for p in sites]
     jobs = [(model, partial(qstate.tensor_product, register, ring,
@@ -688,14 +687,14 @@ def _ki_dims(cfg: ExperimentConfig) -> list[int]:
 
 
 def _plan_ki(cfg: ExperimentConfig, workers: int) -> int:
-    """A kicked-Ising run on ``workers`` threads: per evolution a spawned
-    generator and two copies of its observable series; per sampled step
-    2 KB (its list entry, reduced state and their scratch) and six table
-    cells per realization (``ki-cp`` bins every sample); every model's
-    period, all built before the fan-out; and per thread five state vectors
-    of the largest model: the initial, evolved and spare states and the
-    scratch of building and reducing them.  ``memory-sumrule`` also keeps
-    every realization's ring state for all the models."""
+    """A kicked-Ising run on ``workers`` processes, all together: per
+    evolution a spawned generator and two copies of its observable series;
+    per sampled step 2 KB (its list entry, reduced state and their scratch)
+    and six table cells per realization (``ki-cp`` bins every sample); each
+    model's period in every process that steps it; and per process five
+    state vectors of the largest model: the initial, evolved and spare
+    states and the scratch of building and reducing them.  ``memory-sumrule``
+    also keeps every realization's ring state for all the models."""
     dims = _ki_dims(cfg)
     samples = cfg.steps // cfg.stride + 2
     kept = 0
@@ -704,18 +703,20 @@ def _plan_ki(cfg: ExperimentConfig, workers: int) -> int:
                                               "kicked-Ising register")
     return (cfg.n_realizations * len(dims) * (2048 + 2 * 8 * 5 * samples)
             + samples * (2048 + _CELL_BYTES * 6 * cfg.n_realizations)
-            + 16 * (sum(dims) + 5 * workers * dims[0]) + kept)
+            + 16 * (min(workers, cfg.n_realizations) * sum(dims) + 5 * workers * dims[0])
+            + kept)
 
 
 def _ki_workers(cfg: ExperimentConfig) -> int:
-    """Threads of a kicked-Ising run: one per usable core and at most one
-    per evolution, lowered until the plan fits the budget (one if none
-    fits, which ``run`` then refuses).  One while the largest register has
-    fewer than ``ki.FAN_OUT_MIN_SPINS`` spins."""
-    dims = _ki_dims(cfg)
-    if dims[0] < 1 << ki.FAN_OUT_MIN_SPINS:
+    """Processes of a kicked-Ising run: one per usable core (as many as
+    ``os.cpu_count()`` without ``os.sched_getaffinity``) and evolution,
+    lowered until the plan fits the budget (one if none fits, which ``run``
+    then refuses).  One without ``os.fork``."""
+    if not hasattr(os, "fork"):
         return 1
-    workers = min(len(os.sched_getaffinity(0)), cfg.n_realizations * len(dims))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, cfg.n_realizations * len(_ki_dims(cfg)))
     while workers > 1 and _plan_ki(cfg, workers) > MAX_PLAN_BYTES:
         workers -= 1
     return workers

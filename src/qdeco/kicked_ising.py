@@ -14,17 +14,17 @@ rotation and a second phase layer; the phase layers go into a per-site frame
 and into the one phase vector, so a period is one complex phase multiply
 and a few fused real rotations (``_kernels``).  Trajectories stay in the
 frame, and only the small reduced density matrices are rotated back.
-
-``evolve_many`` steps a run's independent evolutions on one Python thread
-per worker: numpy releases the GIL inside every kernel of a period.
+``evolve_many`` steps a run's independent evolutions in forked processes.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,13 +33,6 @@ from .errors import ConfigError, ResourceLimitError
 from .trajectory import Trajectory, measure
 
 MAX_SPINS = 20  # one state vector of 2^20 amplitudes is 16 MiB
-# Below this many spins a run steps serially on one OpenBLAS thread.  A
-# 14-spin period's GEMMs gain nothing from a second BLAS thread, whose
-# spinning only slows the run when the other core is busy; and its kernels
-# last about 0.2 ms between hand-offs of the interpreter lock, so a second
-# Python thread gained from nothing to 1.45x between processes on a
-# two-vCPU VM, with the load on the other vCPU.
-FAN_OUT_MIN_SPINS = 16
 MAX_SPECTRUM_SPINS = 12
 
 # Reference kick fields, in (parallel, transverse, transverse) components.
@@ -369,64 +362,70 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     return measure(sampled, rhos, pos)
 
 
-@cache
-def _pool():
-    # one pool for the process, so repeated runs reuse its threads and
-    # their malloc arenas.  Imported here, so that only runs that fan out
-    # pay for the import.
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)),
-                              thread_name_prefix="qdeco-ki")
+def _fan_out(jobs, workers: int, run) -> list:
+    """``run`` of each job index, in job order: the largest jobs go first to
+    the least loaded of ``workers`` shares, run here and in forked children,
+    which pickle their results or exception into pipes read before reaping."""
+    shares = [[] for _ in range(workers)]
+    for i in sorted(range(len(jobs)), key=lambda i: -jobs[i][0].dim):
+        min(shares, key=lambda share: sum(jobs[j][0].dim for j in share)).append(i)
+    results, pids, pipes = {}, [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    try:
+                        os.close(read)  # so its pipe breaks if the caller dies
+                        try:
+                            out = [(i, run(i)) for i in share]
+                        except BaseException as err:
+                            out = err
+                        with open(write, "wb") as pipe:
+                            pipe.write(pickle.dumps(out))
+                    finally:
+                        os._exit(0)  # no atexit handler, no inherited buffer flushed
+            finally:
+                os.close(write)
+            pids.append(pid)
+        results.update((i, run(i)) for i in shares[0])
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            out = pickle.loads(data) if data else ChildProcessError(
+                f"evolution worker {pid} sent nothing")
+            if isinstance(out, BaseException):
+                raise out
+            results.update(out)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(jobs))]
 
 
 def evolve_many(jobs, steps: int, stride: int = 1, workers: int = 1) -> list:
     """``evolve_ki`` of each ``(model, initial)`` job, whose ``initial()``
-    builds its starting state, in job order.
-
-    Up to ``workers`` threads take the jobs in order, each building its
-    state where it steps it, while numpy's OpenBLAS runs on one thread
-    (``_lapack.blas_threads``), its count restored afterwards.  Every
-    period is built first (``cached_property`` holds no lock from Python
-    3.12 on).  An evolution does not depend on the BLAS thread count, so
-    the trajectories are those of the serial loop, which runs for one
-    worker or where OpenBLAS exports no thread control; the serial loop
-    also pins OpenBLAS to one thread under ``FAN_OUT_MIN_SPINS`` spins."""
-    def run(job):
-        model, initial = job
+    builds its starting state, in job order, with numpy's OpenBLAS on one
+    thread (``_lapack.blas_threads``): in up to ``workers`` processes
+    (``_fan_out``) that build their own periods and states, its idle threads
+    stopped before the fork.  An evolution does not depend on the BLAS
+    thread count, so the results are those of the serial loop, which runs
+    for one worker, without ``os.fork`` or thread control, and beside other
+    Python threads."""
+    def run(i):
+        model, initial = jobs[i]
         return evolve_ki(model, initial(), steps, stride)
 
-    workers = min(workers, len(jobs))
-    small = max((m.num_spins for m, _ in jobs), default=0) < FAN_OUT_MIN_SPINS
-    if workers < 2 and not small:
-        return [run(job) for job in jobs]
-    for model, _ in jobs:
-        model._period
-    with _lapack.blas_threads(1) as pinned:
-        if workers < 2 or not pinned:
-            return [run(job) for job in jobs]
-        results = [None] * len(jobs)
-        order = iter(range(len(jobs)))  # shared: next() holds the GIL
-        stop = threading.Event()
-
-        def work():
-            for i in order:
-                if stop.is_set():
-                    return
-                try:
-                    results[i] = run(jobs[i])
-                except BaseException:
-                    stop.set()  # the other threads finish their current job
-                    raise
-
-        futures = [_pool().submit(work) for _ in range(workers)]
-        try:
-            for future in futures:
-                future.result()
-        finally:
-            stop.set()  # also when the caller is interrupted
-            for future in futures:
-                future.exception()  # waits for it
-    return results
+    workers = min(workers, len(jobs)) if hasattr(os, "fork") else 1
+    with _lapack.blas_threads(1) as stop:
+        if workers < 2 or not stop or threading.active_count() > 1:
+            return [run(i) for i in range(len(jobs))]
+        stop()
+        return _fan_out(jobs, workers, run)
 
 
 def floquet_matrix(model: KIModel) -> np.ndarray:

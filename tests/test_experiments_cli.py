@@ -2,11 +2,12 @@ import ctypes
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
-import threading
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -289,8 +290,7 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
     # The kicked-Ising time evolutions match byte for byte across BLAS thread
     # counts, the 16-spin register's large reduced block included, and
     # between a child pinned to one core, which steps its evolutions
-    # serially, and one that fans them out over every core (small registers
-    # included, which fan out only here).  Left out on
+    # serially, and one that fans them out over every core.  Left out on
     # purpose: the random-matrix kinds (LAPACK's eigenvectors change with
     # the thread count) and spectral-stats with a kicked-ring source (so do
     # zgeev's eigenvalues).
@@ -302,7 +302,6 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
         "if sys.argv[3] == 'one-core':\n"
         "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import qdeco.experiments as xp\n"
-        "xp.ki.FAN_OUT_MIN_SPINS = 0\n"
         "for i, (kind, kw) in enumerate(ast.literal_eval(sys.argv[2])):\n"
         "    cfg = xp.ExperimentConfig(kind=kind, seed=3,\n"
         "                              out=f'{sys.argv[1]}/{i}', **kw)\n"
@@ -334,22 +333,27 @@ def _openblas_threads() -> int:
                                ctypes.c_int)()
 
 
+def _evolutions(cfg) -> int:
+    return cfg.n_realizations * len(xp._ki_dims(cfg))
+
+
 @pytest.mark.parametrize("fan_out", [True, False])
 @pytest.mark.parametrize("fails", [False, True])
 def test_fan_out_restores_blas_threads(monkeypatch, fails, fan_out):
-    # OpenBLAS runs on one thread inside the fan-out, and in the serial loop
-    # of a small register, and on its previous count after it, also when an
-    # evolution raises; four usable cores are faked, and for the fan-out the
-    # smallest fanned-out register lowered, so both run on any machine
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    if fan_out:
-        monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
-    seen, threads = [], set()
+    # OpenBLAS runs on one thread in every process of the fan-out (four
+    # usable cores faked), and in the serial loop of a small register (one
+    # core faked), and on its previous count after the run, also when an
+    # evolution raises; a child that finds another count raises, and its
+    # error reaches the parent
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3} if fan_out else {0})
+    parent, pids = os.getpid(), []
     evolve_ki = ki.evolve_ki
 
     def recording(*args, **kw):
-        seen.append(_openblas_threads())
-        threads.add(threading.current_thread())
+        if _openblas_threads() != 1:
+            raise RuntimeError(f"OpenBLAS on {_openblas_threads()} threads")
+        pids.append(os.getpid())
         if fails:
             raise RuntimeError("evolution failed")
         return evolve_ki(*args, **kw)
@@ -359,22 +363,22 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails, fan_out):
     for kind in ("ki-decay", "memory-sumrule"):
         cfg = xp.ExperimentConfig(kind=kind, seed=3, **TINY[kind])
         assert (xp._ki_workers(cfg) > 1) == fan_out
+        pids.clear()
         if fails:
             with pytest.raises(RuntimeError, match="evolution failed"):
                 xp.run(cfg)
         else:
             xp.run(cfg)
+            # the parent steps only its own share of a fan-out
+            assert (len(pids) < _evolutions(cfg)) == fan_out, kind
+        assert pids and set(pids) == {parent}
         assert _openblas_threads() == before, kind
-    assert seen and set(seen) == {1}
-    if not fan_out:
-        assert threads == {threading.current_thread()}
 
 
 def test_fan_out_steps_serially_without_blas_thread_control(monkeypatch):
     # where OpenBLAS exports no thread control the evolutions run one after
-    # another on the calling thread, with the same results
+    # another in the calling process, with the same results
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
     cfg = xp.ExperimentConfig(kind="memory-sumrule", seed=3,
                               **TINY["memory-sumrule"])
     fanned = xp.run(cfg)[0]["memory-sumrule"]
@@ -385,17 +389,17 @@ def test_fan_out_steps_serially_without_blas_thread_control(monkeypatch):
             raise ImportError(symbol)
         return routine(symbol, *args)
 
-    threads = []
+    pids = []
     evolve_ki = ki.evolve_ki
 
     def recording(*args, **kw):
-        threads.append(threading.current_thread())
+        pids.append(os.getpid())
         return evolve_ki(*args, **kw)
 
     monkeypatch.setattr(ki._lapack, "_routine", without_thread_control)
     monkeypatch.setattr(ki, "evolve_ki", recording)
     serial = xp.run(cfg)[0]["memory-sumrule"]
-    assert threads and set(threads) == {threading.current_thread()}
+    assert pids == [os.getpid()] * _evolutions(cfg)
     assert serial.rows.tobytes() == fanned.rows.tobytes()
 
 
@@ -445,22 +449,21 @@ def test_memory_sumrule_runner():
 
 
 def test_memory_sumrule_runs_each_site_once(monkeypatch):
-    # three register qubits at one site: the full model plus one variant,
-    # whose evolutions start on their threads in no fixed order
+    # three register qubits at one site: the full model plus one variant
     calls = []
 
-    def counted(*args, **kw):
-        calls.append(args[0].num_spins)
-        return evolve_ki(*args, **kw)
+    def counted(jobs, *args, **kw):
+        calls.extend(model.num_spins for model, _ in jobs)
+        return evolve_many(jobs, *args, **kw)
 
-    evolve_ki = ki.evolve_ki
-    monkeypatch.setattr(ki, "evolve_ki", counted)
+    evolve_many = ki.evolve_many
+    monkeypatch.setattr(ki, "evolve_many", counted)
     cfg = xp.ExperimentConfig(
         kind="memory-sumrule", ring_spins=6, memory_qubits=3, positions=(1, 1, 1),
         mem_coupling=0.05, field="chaotic-soft", steps=20, stride=5,
         n_realizations=1, seed=5)
     table = xp.run(cfg)[0]["memory-sumrule"]
-    assert sorted(calls) == [8, 9]
+    assert calls == [9, 8]
     assert 1 - table.column("P_sp_0")[-1] > 1e-4
     for i in (1, 2):
         assert np.array_equal(table.column(f"P_sp_{i}"), table.column("P_sp_0"))
@@ -764,37 +767,148 @@ def test_ki_worker_count_fits_plan_budget(monkeypatch, kind, kw, tight_steps):
                             positions=(0,), n_realizations=2)),
 ])
 @pytest.mark.parametrize("cores", [1, 2])
-def test_ki_plan_bounds_fan_out_peak(monkeypatch, kind, kw, cores):
-    # the plan at the run's worker count bounds the traced peak of the run,
-    # every thread's allocations included
+def test_ki_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
+    # the plan at the run's worker count bounds the traced peak of the
+    # parent plus each child's own traced peak, what it allocated beyond
+    # its memory at the fork
     import tracemalloc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(ki, "FAN_OUT_MIN_SPINS", 0)
     cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
     assert xp._ki_workers(cfg) == cores
-    xp.run(cfg)  # first-call costs: lazy imports, caches, the thread pool
+    xp.run(cfg)  # first-call costs: lazy imports, caches
+    fork, dumps, at_fork = os.fork, ki.pickle.dumps, []
+
+    def forked():
+        pid = fork()
+        if not pid:
+            at_fork.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return pid
+
+    def sending(results):
+        # a child's last allocation: the pickle of its results
+        data = dumps(results)
+        own = tracemalloc.get_traced_memory()[1] - at_fork[0]
+        (tmp_path / str(os.getpid())).write_text(str(own))
+        return data
+
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(ki.pickle, "dumps", sending)
     tracemalloc.start()
     try:
         xp.run(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= xp._PLANS[kind](cfg)
+    children = [int(p.read_text()) for p in tmp_path.iterdir()]
+    assert len(children) == cores - 1
+    assert peak + sum(children) <= xp._PLANS[kind](cfg)
 
 
-@pytest.mark.parametrize("kind, kw, fans_out", [
-    ("ki-decay", dict(q_env=12, n_realizations=2), False),
-    ("ki-decay", dict(q_env=14, n_realizations=2), True),
+@pytest.mark.parametrize("kind, kw, sixteen", [
+    ("ki-decay", dict(q_env=12, n_realizations=2, steps=2), False),
+    ("ki-decay", dict(q_env=14, n_realizations=2, steps=2), True),
     ("memory-sumrule", dict(REGISTER, ring_spins=10), False),
     ("memory-sumrule", REGISTER, True),
 ])
-def test_small_ki_registers_step_serially(monkeypatch, kind, kw, fans_out):
-    # under 16 spins a second thread's gain is too small and unsteady: the
-    # run steps serially whatever the core count; from 16 spins it fans out
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+def test_small_ki_registers_step_serially(monkeypatch, kind, kw, sixteen):
+    # registers of 14 and 16 spins, where the fan-out on threads used to
+    # start: each fans out over four faked cores, and on one core steps
+    # serially, on one OpenBLAS thread
     cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
-    assert (xp._ki_workers(cfg) > 1) == fans_out
+    assert (xp._ki_dims(cfg)[0] == 1 << 16) == sixteen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert xp._ki_workers(cfg) > 1
     assert xp._PLANS[kind](cfg) == xp._plan_ki(cfg, xp._ki_workers(cfg))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert xp._ki_workers(cfg) == 1
+    pids, seen, evolve_ki = [], [], ki.evolve_ki
+
+    def recording(*args, **kw):
+        pids.append(os.getpid())
+        seen.append(_openblas_threads())
+        return evolve_ki(*args, **kw)
+
+    monkeypatch.setattr(ki, "evolve_ki", recording)
+    xp.run(cfg)
+    assert pids == [os.getpid()] * _evolutions(cfg)
+    assert seen == [1] * _evolutions(cfg)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the threads in /proc/self/task")
+def test_only_kicked_ising_runs_fork_and_with_one_thread(monkeypatch, tmp_path):
+    # every fork of a kicked-Ising run happens with one OS thread in the
+    # process, OpenBLAS's idle threads stopped; random-matrix runs never fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    fork, threads = os.fork, []
+
+    def counted():
+        threads.append(len(os.listdir("/proc/self/task")))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    for kind, kw in TINY.items():
+        threads.clear()
+        np.ones((256, 256)) @ np.ones((256, 256))  # wakes OpenBLAS's threads
+        cfg = xp.ExperimentConfig(kind=kind, seed=3, out=str(tmp_path / kind), **kw)
+        xp.write_outputs(cfg, *xp.run(cfg))
+        if kind.startswith("ki-") or kind == "memory-sumrule":
+            assert threads and set(threads) == {1}, kind
+        else:
+            assert threads == [], kind
+
+
+def test_child_results_larger_than_a_pipe_buffer_arrive_intact(monkeypatch):
+    # a child's realization of 4001 sampled steps pickles to about 160 KB,
+    # more than a pipe holds: it arrives whole, and the run writes what the
+    # serial run writes
+    cfg = xp.ExperimentConfig(kind="ki-decay", seed=3,
+                              **dict(TINY["ki-decay"], steps=4000, stride=1))
+
+    def stuck(signum, frame):
+        raise TimeoutError("a child's result did not arrive within 60 s")
+
+    runs = []
+    handler = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)  # a forked child does not inherit it
+    try:
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c)
+            assert xp._ki_workers(cfg) == len(cores)
+            tables, summary = xp.run(cfg)
+            runs.append((tables["ki-decay"].rows.tobytes(), summary))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert runs[0] == runs[1]
+
+
+def test_ki_runs_without_sched_getaffinity_or_fork(monkeypatch):
+    # os.sched_getaffinity exists on Linux only: elsewhere a run counts
+    # os.cpu_count() cores; where os.fork is missing it steps serially
+    cfg = xp.ExperimentConfig(kind="ki-decay", seed=3, **TINY["ki-decay"])
+    want = xp.run(cfg)[0]["ki-decay"].rows.tobytes()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert xp._ki_workers(cfg) == 2
+    assert xp.run(cfg)[0]["ki-decay"].rows.tobytes() == want
+    monkeypatch.delattr(os, "fork")
+    assert xp._ki_workers(cfg) == 1
+    pids, evolve_ki = [], ki.evolve_ki
+
+    def recording(*args, **kw):
+        pids.append(os.getpid())
+        return evolve_ki(*args, **kw)
+
+    monkeypatch.setattr(ki, "evolve_ki", recording)
+    assert xp.run(cfg)[0]["ki-decay"].rows.tobytes() == want
+    # evolve_many itself steps serially, whatever worker count it is given
+    model, _ = xp._build_ki(cfg)
+    jobs = [(model, partial(ki.initial_state, model, qstate.ghz_state(2),
+                            qstate.rng(i))) for i in range(4)]
+    ki.evolve_many(jobs, 2, workers=4)
+    assert pids == [os.getpid()] * 6
 
 
 def _limit_address_space():

@@ -1,4 +1,4 @@
-import sys
+import os
 import threading
 from functools import reduce
 
@@ -359,29 +359,76 @@ def test_evolve_ki_matches_dense_stepping():
         assert np.max(np.abs(np.column_stack(got) - want)) < 1e-10
 
 
-def test_evolve_many_keeps_job_order_under_contention():
-    # many tiny jobs of two models on more workers than cores, with the
-    # interpreter switching threads as often as it can: a job taken twice,
-    # lost or stored under another index breaks the order of the results
+def _two_model_jobs(count):
     models = [ki.build_env_config(kind, 4, 0.3, (1.4, 1.4, 0), (1.4, 1.4, 0))[0]
               for kind in ("d", "e")]
-    jobs = [(models[i % 2], lambda i=i: ki.initial_state(
-        models[i % 2], qstate.ghz_state(2), qdeco.rng(i))) for i in range(64)]
+    return [(models[i % 2], lambda i=i: ki.initial_state(
+        models[i % 2], qstate.ghz_state(2), qdeco.rng(i))) for i in range(count)]
+
+
+def test_evolve_many_keeps_job_order_under_contention(monkeypatch):
+    # many tiny jobs of two models in more processes than cores: a job run
+    # twice, lost or returned under another index breaks the order of the
+    # results
+    jobs = _two_model_jobs(64)
     want = [ki.evolve_ki(model, initial(), 6) for model, initial in jobs]
-    interval = sys.getswitchinterval()
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    got = ki.evolve_many(jobs, 6, workers=8)
+    assert len(forks) == 7
+    for tr, ref in zip(got, want, strict=True):
+        assert tr.purity.tobytes() == ref.purity.tobytes()
+        assert tr.concurrence.tobytes() == ref.concurrence.tobytes()
+
+
+def test_evolve_many_beside_other_threads_does_not_fork(monkeypatch):
+    # a process that runs other Python threads does not fork: it steps the
+    # jobs one after another
+    jobs = _two_model_jobs(4)
+    want = [ki.evolve_ki(model, initial(), 6) for model, initial in jobs]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
     done = []
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(
-            target=lambda: done.append(ki.evolve_many(jobs, 6, workers=8)))
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    worker = threading.Thread(
+        target=lambda: done.append(ki.evolve_many(jobs, 6, workers=4)))
+    worker.start()
+    worker.join(timeout=60)
     assert not worker.is_alive() and len(done) == 1
-    for got, ref in zip(done[0], want, strict=True):
-        assert got.purity.tobytes() == ref.purity.tobytes()
-        assert got.concurrence.tobytes() == ref.concurrence.tobytes()
+    for tr, ref in zip(done[0], want, strict=True):
+        assert tr.purity.tobytes() == ref.purity.tobytes()
+
+
+class JobFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+@pytest.mark.parametrize("error", [JobFailed("realization 3 failed"),
+                                   KeyboardInterrupt("realization 3 stopped")])
+def test_job_errors_reach_the_caller_and_no_child_outlives_them(monkeypatch, error,
+                                                               in_child):
+    # a job that raises, in a child or in the calling process, raises in the
+    # caller with its type and message, and every child has been reaped by
+    # then
+    parent, evolve_ki = os.getpid(), ki.evolve_ki
+    jobs = _two_model_jobs(8)
+
+    def failing(*args):
+        if (os.getpid() != parent) == in_child:
+            raise error
+        return evolve_ki(*args)
+
+    monkeypatch.setattr(ki, "evolve_ki", failing)
+    with pytest.raises(type(error)) as raised:
+        ki.evolve_many(jobs, 6, workers=4)
+    assert str(raised.value) == str(error)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_zero_field_diagonal_and_zero_coupling_product():
