@@ -16,13 +16,18 @@ its numpy BLAS calls share one library and its threads.  As in scipy,
 non-finite input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
 ``np.linalg.LinAlgError``.
 
-The same library's thread control, ``blas_threads``, serves
-``kicked_ising.evolve_many``, which forks with OpenBLAS on one thread.
+The same library's thread control, ``blas_threads``, serves ``fan_out``,
+which runs a call's independent jobs (kicked-Ising evolutions, random-matrix
+Hamiltonians) with OpenBLAS on one thread, in forked processes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
+import signal
+import threading
 from contextlib import contextmanager
 from functools import cache
 
@@ -72,6 +77,70 @@ def blas_threads(n: int):
         yield stop
     finally:
         set_(before)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on; one without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def fan_out(run, costs, workers: int | None = None) -> list:
+    """``run(i)`` of each job i, whose cost is ``costs[i]``, in job order,
+    with OpenBLAS on one thread (``blas_threads``).  The costliest jobs go
+    first to the least loaded of up to ``workers`` shares (the usable cores
+    for ``None``), run here and in forked children, which pickle their
+    results or exception into pipes read before reaping; OpenBLAS's idle
+    threads are stopped before the fork.  A job's result is that of the
+    serial loop on one thread, which runs for one worker, without
+    ``os.fork`` or thread control, and beside other Python threads."""
+    workers = usable_cores() if workers is None else workers
+    workers = min(workers, len(costs)) if hasattr(os, "fork") else 1
+    with blas_threads(1) as stop:
+        if workers < 2 or not stop or threading.active_count() > 1:
+            return [run(i) for i in range(len(costs))]
+        stop()
+        shares = [[] for _ in range(workers)]
+        for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+            min(shares, key=lambda share: sum(costs[j] for j in share)).append(i)
+        results, pids, pipes = {}, [], []
+        try:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        try:
+                            os.close(read)  # so its pipe breaks if the caller dies
+                            try:
+                                out = [(i, run(i)) for i in share]
+                            except BaseException as err:
+                                out = err
+                            with open(write, "wb") as pipe:
+                                pipe.write(pickle.dumps(out))
+                        finally:
+                            os._exit(0)  # no atexit handler, no inherited buffer flushed
+                finally:
+                    os.close(write)
+                pids.append(pid)
+            results.update((i, run(i)) for i in shares[0])
+            for pid, pipe in zip(pids, pipes):
+                data = pipe.read()
+                out = pickle.loads(data) if data else ChildProcessError(
+                    f"worker {pid} sent nothing")
+                if isinstance(out, BaseException):
+                    raise out
+                results.update(out)
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [results[i] for i in range(len(costs))]
 
 
 def _call(name: str, *args) -> None:

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 resource refusal.  Four
 flags can also be set through environment variables: EXP_SEED, EXP_OUT,
-EXP_CONFIG and EXP_PRESET.  No option sets a thread count: random-matrix
-runs are serial and BLAS threads use the cores, while kicked-Ising runs
-step their evolutions in one forked process per usable core.
+EXP_CONFIG and EXP_PRESET.  No option sets a thread count: a run's
+independent Hamiltonians or evolutions go to one forked process per usable
+core, each on one BLAS thread; a single Hamiltonian uses the BLAS threads.
 """
 
 from __future__ import annotations

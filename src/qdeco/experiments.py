@@ -2,10 +2,10 @@
 
 Each experiment kind maps a validated :class:`ExperimentConfig` to one or
 more CSV tables plus a JSON-able summary.  The same config + seed gives
-byte identical output.  The random-matrix kinds run serially; the
-kicked-Ising kinds step their independent evolutions in one forked process
-per usable core (``kicked_ising.evolve_many``), as many as their plan
-allows, and average them in a fixed order.
+byte identical output.  A run's independent Hamiltonians, realizations or
+kicked-Ising evolutions go to one forked process per usable core
+(``_lapack.fan_out``), as many as its plan allows, each on one BLAS thread,
+and are averaged in a fixed order; a single Hamiltonian runs in the caller.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -304,7 +303,7 @@ def _run_rmt_decay(cfg: ExperimentConfig, gen):
             c_elr, t_star = (_concurrence_analytic(cfg, params, p_elr, times)
                              if spec.num_qubits == 2 else (None, None))
         avg = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                             cfg.n_initials, gen)
+                             cfg.n_initials, gen, workers=_workers(cfg))
         cols = ["t", "P_mean", "P_std", "S_mean", "D_mean", "analytic_P", "elr_P"]
         arrays = [times, avg.purity, avg.purity_std, avg.entropy, avg.offdiag,
                   p_lr, p_elr]
@@ -349,7 +348,8 @@ def _run_rmt_cp(cfg: ExperimentConfig, gen):
     times = np.linspace(0.0, cfg.t_max_over_tauh * spec.nominal_tau_h(),
                         cfg.n_times)
     _, samples = rm.monte_carlo(spec, params, times, cfg.n_hamiltonians,
-                                cfg.n_initials, gen, collect_samples=True)
+                                cfg.n_initials, gen, collect_samples=True,
+                                workers=_workers(cfg))
     return _cp_outputs(
         cfg, samples["purity"], samples["concurrence"],
         deviation_estimate=metrics.werner_deviation_estimate(
@@ -394,7 +394,7 @@ def _run_rmt_sigma(cfg: ExperimentConfig, gen):
         # both angle families from the same Hamiltonians, fixed angle first
         fixed, random_g = rm.monte_carlo(
             spec, params, times, cfg.n_hamiltonians, cfg.n_initials, gen,
-            params_sampler=(None, sampler))
+            params_sampler=(None, sampler), workers=_workers(cfg))
         rows.append((n, fixed.purity_std[-1], random_g.purity_std[-1], pred))
     arr = np.array(rows)
     table = _table(["n_env", "sigma_fixed_gamma", "sigma_random_gamma",
@@ -421,7 +421,8 @@ def _run_unitality(cfg: ExperimentConfig, gen):
         spec = _unitality_spec(cfg, n)
         tau = spec.nominal_tau_h()
         times = np.linspace(0.0, cfg.t_max_over_tauh * tau, cfg.n_times)
-        dist = rm.unitality_experiment(spec, times, cfg.n_realizations, gen)
+        dist = rm.unitality_experiment(spec, times, cfg.n_realizations, gen,
+                                       _workers(cfg))
         finals.append(dist[-1])
         for t, d in zip(times, dist):
             rows.append((n, t, d))
@@ -436,7 +437,7 @@ def _run_unitality(cfg: ExperimentConfig, gen):
 def _ki_trajectories(cfg: ExperimentConfig, gen, model, central):
     jobs = [(model, partial(ki.initial_state, model, central, g))
             for g in gen.spawn(cfg.n_realizations)]
-    return ki.evolve_many(jobs, cfg.steps, cfg.stride, _ki_workers(cfg))
+    return ki.evolve_many(jobs, cfg.steps, cfg.stride, _workers(cfg))
 
 
 def _build_ki(cfg: ExperimentConfig):
@@ -536,7 +537,7 @@ def _run_memory_sumrule(cfg: ExperimentConfig, gen):
     jobs = [(model, partial(qstate.tensor_product, register, ring,
                             model.central_mask))
             for model, register in models for ring in rings]
-    trs = ki.evolve_many(jobs, cfg.steps, cfg.stride, _ki_workers(cfg))
+    trs = ki.evolve_many(jobs, cfg.steps, cfg.stride, _workers(cfg))
     r = cfg.n_realizations
     full_avg, *site_avgs = [average(trs[i:i + r]) for i in range(0, len(trs), r)]
     t, p_full = full_avg.times, full_avg.purity
@@ -638,29 +639,31 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 _CELL_BYTES = 80  # a table cell: its float, the arrays it came from, two CSV texts
 
 
-def _plan_rmt_decay(cfg: ExperimentConfig) -> int:
+def _plan_rmt_decay(cfg: ExperimentConfig, workers: int) -> int:
     spec = _model_spec(cfg, cfg.delta[0])
-    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials)
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials,
+                             workers)
             + _CELL_BYTES * 10 * len(cfg.delta) * cfg.n_times)
 
 
-def _plan_rmt_cp(cfg: ExperimentConfig) -> int:
+def _plan_rmt_cp(cfg: ExperimentConfig, workers: int) -> int:
     # one cell per sample to collect and bin it, and up to four per bin
     spec = _model_spec(cfg, cfg.delta[0])
-    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials)
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_hamiltonians, cfg.n_initials,
+                             workers)
             + _CELL_BYTES * 5 * cfg.n_hamiltonians * cfg.n_initials * cfg.n_times)
 
 
-def _plan_rmt_sigma(cfg: ExperimentConfig) -> int:
+def _plan_rmt_sigma(cfg: ExperimentConfig, workers: int) -> int:
     # two times and two initial-state families per Hamiltonian, largest bath
     spec = _model_spec(replace(cfg, n_env=int(max(cfg.n_env_list))), cfg.delta[0])
-    return rm.planned_bytes(spec, 2, cfg.n_hamiltonians, 2 * cfg.n_initials)
+    return rm.planned_bytes(spec, 2, cfg.n_hamiltonians, 2 * cfg.n_initials, workers)
 
 
-def _plan_unitality(cfg: ExperimentConfig) -> int:
+def _plan_unitality(cfg: ExperimentConfig, workers: int) -> int:
     # each table row is also a Python tuple of three numbers, about 3 cells
     spec = _unitality_spec(cfg, int(max(cfg.n_env_list)))
-    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_realizations, 1)
+    return (rm.planned_bytes(spec, cfg.n_times, cfg.n_realizations, 1, workers)
             + _CELL_BYTES * 6 * len(cfg.n_env_list) * cfg.n_times)
 
 
@@ -707,26 +710,7 @@ def _plan_ki(cfg: ExperimentConfig, workers: int) -> int:
             + kept)
 
 
-def _ki_workers(cfg: ExperimentConfig) -> int:
-    """Processes of a kicked-Ising run: one per usable core (as many as
-    ``os.cpu_count()`` without ``os.sched_getaffinity``) and evolution,
-    lowered until the plan fits the budget (one if none fits, which ``run``
-    then refuses).  One without ``os.fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    workers = min(cores, cfg.n_realizations * len(_ki_dims(cfg)))
-    while workers > 1 and _plan_ki(cfg, workers) > MAX_PLAN_BYTES:
-        workers -= 1
-    return workers
-
-
-def _plan_ki_run(cfg: ExperimentConfig) -> int:
-    return _plan_ki(cfg, _ki_workers(cfg))
-
-
-def _plan_spectral_stats(cfg: ExperimentConfig) -> int:
+def _plan_spectral_stats(cfg: ExperimentConfig, workers: int) -> int:
     """Refuses more levels than the largest bath, a form factor's
     (k2_points, rmt_dim) phase array larger than the grid cap, or a dense
     period operator above its spin cap.  Then per draw its levels, bulk,
@@ -756,17 +740,32 @@ _PLANS = {
     "rmt-cp": _plan_rmt_cp,
     "rmt-sigma": _plan_rmt_sigma,
     "unitality": _plan_unitality,
-    "ki-decay": _plan_ki_run,
-    "ki-cp": _plan_ki_run,
-    "ki-vs-rmt": _plan_ki_run,
-    "memory-sumrule": _plan_ki_run,
+    "ki-decay": _plan_ki,
+    "ki-cp": _plan_ki,
+    "ki-vs-rmt": _plan_ki,
+    "memory-sumrule": _plan_ki,
     "spectral-stats": _plan_spectral_stats,
 }
 
 
+def _workers(cfg: ExperimentConfig) -> int:
+    """Processes of a run: one per usable core (``_lapack.usable_cores``) and
+    independent job (Hamiltonian, realization or kicked-Ising evolution),
+    lowered until the kind's plan fits the budget (one if none fits, which
+    ``run`` then refuses).  A ``spectral-stats`` run has one job."""
+    jobs = (cfg.n_hamiltonians if cfg.kind in ("rmt-decay", "rmt-cp", "rmt-sigma")
+            else cfg.n_realizations if cfg.kind == "unitality"
+            else 1 if cfg.kind == "spectral-stats"
+            else cfg.n_realizations * len(_ki_dims(cfg)))
+    workers = min(_lapack.usable_cores(), jobs)
+    while workers > 1 and _PLANS[cfg.kind](cfg, workers) > MAX_PLAN_BYTES:
+        workers -= 1
+    return workers
+
+
 def run(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (tables, summary)."""
-    plan = _PLANS[cfg.kind](cfg)
+    plan = _PLANS[cfg.kind](cfg, _workers(cfg))
     if plan > MAX_PLAN_BYTES:
         raise ResourceLimitError(
             f"{cfg.kind} plans {plan / 2**30:.3g} GiB of arrays, above the "

@@ -19,10 +19,6 @@ frame, and only the small reduced density matrices are rotated back.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -362,70 +358,16 @@ def evolve_ki(model: KIModel, psi0, steps: int, stride: int = 1) -> Trajectory:
     return measure(sampled, rhos, pos)
 
 
-def _fan_out(jobs, workers: int, run) -> list:
-    """``run`` of each job index, in job order: the largest jobs go first to
-    the least loaded of ``workers`` shares, run here and in forked children,
-    which pickle their results or exception into pipes read before reaping."""
-    shares = [[] for _ in range(workers)]
-    for i in sorted(range(len(jobs)), key=lambda i: -jobs[i][0].dim):
-        min(shares, key=lambda share: sum(jobs[j][0].dim for j in share)).append(i)
-    results, pids, pipes = {}, [], []
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if not pid:
-                    try:
-                        os.close(read)  # so its pipe breaks if the caller dies
-                        try:
-                            out = [(i, run(i)) for i in share]
-                        except BaseException as err:
-                            out = err
-                        with open(write, "wb") as pipe:
-                            pipe.write(pickle.dumps(out))
-                    finally:
-                        os._exit(0)  # no atexit handler, no inherited buffer flushed
-            finally:
-                os.close(write)
-            pids.append(pid)
-        results.update((i, run(i)) for i in shares[0])
-        for pid, pipe in zip(pids, pipes):
-            data = pipe.read()
-            out = pickle.loads(data) if data else ChildProcessError(
-                f"evolution worker {pid} sent nothing")
-            if isinstance(out, BaseException):
-                raise out
-            results.update(out)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [results[i] for i in range(len(jobs))]
-
-
 def evolve_many(jobs, steps: int, stride: int = 1, workers: int = 1) -> list:
     """``evolve_ki`` of each ``(model, initial)`` job, whose ``initial()``
-    builds its starting state, in job order, with numpy's OpenBLAS on one
-    thread (``_lapack.blas_threads``): in up to ``workers`` processes
-    (``_fan_out``) that build their own periods and states, its idle threads
-    stopped before the fork.  An evolution does not depend on the BLAS
-    thread count, so the results are those of the serial loop, which runs
-    for one worker, without ``os.fork`` or thread control, and beside other
-    Python threads."""
+    builds its starting state, in job order, through ``_lapack.fan_out``:
+    largest register first, in up to ``workers`` processes that build their
+    own periods and states."""
     def run(i):
         model, initial = jobs[i]
         return evolve_ki(model, initial(), steps, stride)
 
-    workers = min(workers, len(jobs)) if hasattr(os, "fork") else 1
-    with _lapack.blas_threads(1) as stop:
-        if workers < 2 or not stop or threading.active_count() > 1:
-            return [run(i) for i in range(len(jobs))]
-        stop()
-        return _fan_out(jobs, workers, run)
+    return _lapack.fan_out(run, [model.dim for model, _ in jobs], workers)
 
 
 def floquet_matrix(model: KIModel) -> np.ndarray:

@@ -24,7 +24,9 @@ eigenvectors overwrite it.  A batch of initial states is projected into the
 eigenbasis inside its own array; each slice of times is one phase product
 into the slice's buffer and one GEMM per block back there, and the Monte
 Carlo reduces each slice to the central density matrices as it comes, so
-its memory does not grow with the time grid.
+its memory does not grow with the time grid.  A call with several
+Hamiltonians runs each on one BLAS thread, in forked processes (``_each``),
+so its output depends on neither the cores nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -428,13 +430,14 @@ def _measure(rhos, times) -> Trajectory:
 
 
 def planned_bytes(spec: ModelSpec, n_times: int, n_hamiltonians: int,
-                  batch: int) -> int:
-    """Bytes of the arrays a ``monte_carlo`` run holds at its peak, 64 KiB of
-    small ones aside: a spawned generator (1.0 KB traced, up to 2.4 KB
-    resident) and two copies of the observable series per Hamiltonian; the
-    eigenstate energies; the initial states, once; a slice of times with its
+                  batch: int, workers: int = 1) -> int:
+    """Bytes of the arrays a ``monte_carlo`` run on ``workers`` processes
+    holds at its peak, all of them together, 64 KiB of small ones aside: a
+    spawned generator (1.0 KB traced, up to 2.4 KB resident) and two copies
+    of the observable series per Hamiltonian; and in each process that runs
+    one, its eigenstate energies, initial states, a slice of times with its
     rotation's scratch (one slice, two for ``separate``'s transposed copy) or
-    its phases and their temporary; the central density matrices; each block
+    its phases and their temporary, its central density matrices, each block
     once, and beside the largest while it is diagonalized, LAPACK's
     workspace.  That is ``dsyevd``'s 2 n^2 + 6 n + 1 doubles and 5 n + 3
     integers, or ``zheevr``'s eigenvector matrix with 33 n complex numbers
@@ -446,25 +449,38 @@ def planned_bytes(spec: ModelSpec, n_times: int, n_hamiltonians: int,
     work = (8 * (2 * n * n + 11 * n + 4) if spec.ensemble == "GOE"
             else 16 * n * n + 800 * n)
     scratch = max(batch * (2 if spec.configuration == "separate" else 1), 2)
+    states = batch + min(n_times, _TIME_SLICE) * (batch + scratch)
     d = 1 << spec.num_qubits
     return (65536 + n_hamiltonians * (2048 + 2 * 4 * 8 * batch * n_times)
-            + sum(n * n * item for n in blocks) + work
-            + 8 * spec.total_dim
-            + 16 * spec.total_dim * (batch + min(n_times, _TIME_SLICE) * (batch + scratch))
-            + 16 * n_times * batch * d * d)
+            + min(workers, n_hamiltonians) * (
+                sum(n * n * item for n in blocks) + work
+                + spec.total_dim * (8 + 16 * states) + 16 * n_times * batch * d * d))
+
+
+def _each(gen, count: int, one, workers: int | None) -> list:
+    """``one(g)`` for each of ``count`` generators spawned from ``gen``, in
+    order: one here on the library's BLAS threads, several on one thread
+    each in up to ``workers`` processes (``_lapack.fan_out``)."""
+    gens = gen.spawn(count)
+    if count == 1:
+        return [one(gens[0])]
+    return _lapack.fan_out(lambda i: one(gens[i]), [1] * count, workers)
 
 
 def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
                 n_initials: int, gen, params2: InitParams | None = None,
-                params_sampler=None, collect_samples: bool = False):
+                params_sampler=None, collect_samples: bool = False,
+                workers: int | None = None):
     """Average over n_hamiltonians x n_initials realizations.
 
     The ensemble member (bath spectrum + coupling) is drawn per Hamiltonian
     and reused across its initial conditions; environment states (and, when
     ``params_sampler`` is given, the central state) are drawn per initial
-    condition.  Deterministic for a fixed generator seed: the Hamiltonians
-    run one after another.  With ``collect_samples`` it also returns every
-    sample's purity (and, for two qubits, concurrence) series, concatenated.
+    condition.  Deterministic for a fixed generator seed: each Hamiltonian
+    has a generator spawned from ``gen``, several run in up to ``workers``
+    processes (``_each``), and they are averaged in order.  With
+    ``collect_samples`` it also returns every sample's purity (and, for two
+    qubits, concurrence) series, concatenated.
 
     ``params_sampler`` may also be a sequence of initial-state families, each
     a sampler or None for the fixed ``params``.  Each Hamiltonian's generator
@@ -497,7 +513,7 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
         return [_measure(rhos, t)
                 for rhos in prop.central_states(psi0s, t, len(families))]
 
-    batches = [one_hamiltonian(g) for g in gen.spawn(n_hamiltonians)]
+    batches = _each(gen, n_hamiltonians, one_hamiltonian, workers)
     avgs = [average(family) for family in zip(*batches)]
     if several:
         return avgs
@@ -508,7 +524,8 @@ def monte_carlo(spec: ModelSpec, params: InitParams, times, n_hamiltonians: int,
     return avgs[0]
 
 
-def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen) -> np.ndarray:
+def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen,
+                         workers: int | None = None) -> np.ndarray:
     """Mean Bloch-vector norm of the coupled qubit when the initial state
     carries a fully mixed qubit: (|0>|e0> + |1>|e1>)/sqrt(2) with
     orthonormal environment states.  Zero for an exactly unital channel."""
@@ -528,4 +545,4 @@ def unitality_experiment(spec: ModelSpec, times, n_realizations: int, gen) -> np
         return metrics.unitality_distance(
             prop.central_states(psi0[None], t)[0, :, 0])
 
-    return np.mean([one(g) for g in gen.spawn(n_realizations)], axis=0)
+    return np.mean(_each(gen, n_realizations, one, workers), axis=0)

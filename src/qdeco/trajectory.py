@@ -33,16 +33,18 @@ class Trajectory:
 def measure(times, rhos, bit: int = 0) -> Trajectory:
     """Observables of stacked central density matrices, shape
     (..., len(times), d, d).  The off-diagonal measure follows the qubit at
-    ``bit`` of the central index; concurrence is taken when d = 4."""
+    ``bit`` of the central index; concurrence is taken when d = 4.  The
+    series are C-ordered whatever the strides of ``rhos``, so a stack of
+    them, and its sums, are the same as of their pickled copies."""
     rhos = np.asarray(rhos)
     d = rhos.shape[-1]
     lo, hi = 1 << bit, d >> (bit + 1)  # central qubits below and above ``bit``
     rho_q = rhos.reshape(rhos.shape[:-2] + (hi, 2, lo, hi, 2, lo))
-    return Trajectory(
-        np.asarray(times, dtype=float), metrics.purity(rhos),
-        metrics.concurrence(rhos) if d == 4 else None,
-        metrics.von_neumann(rhos),
-        metrics.offdiagonal_decay(np.einsum("...aibajb->...ij", rho_q)))
+    series = (metrics.purity(rhos), metrics.concurrence(rhos) if d == 4 else None,
+              metrics.von_neumann(rhos),
+              metrics.offdiagonal_decay(np.einsum("...aibajb->...ij", rho_q)))
+    return Trajectory(np.asarray(times, dtype=float),
+                      *[x if x is None else np.ascontiguousarray(x) for x in series])
 
 
 def average(trajectories) -> Trajectory:

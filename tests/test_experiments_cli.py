@@ -251,7 +251,10 @@ def test_random_matrix_runs_send_large_lapack_calls_through_lapack_module(
         monkeypatch, tmp_path):
     # every bath spectrum and block of either ensemble is diagonalized in
     # place by ``_lapack``; numpy's own copying eigh and eigvalsh see only
-    # the 4x4 reduced states
+    # the 4x4 reduced states.  On one usable core every Hamiltonian runs in
+    # this process, where the calls are recorded; a run fanned out over two
+    # cores writes the same bytes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     sizes = {"numpy": [], "_lapack": []}
 
     def recording(fn, where):
@@ -270,10 +273,20 @@ def test_random_matrix_runs_send_large_lapack_calls_through_lapack_module(
                                   out=str(tmp_path / ensemble),
                                   **dict(TINY["rmt-decay"], ensemble=ensemble,
                                          n_env=64))
+        assert xp._workers(cfg) == 1
         xp.write_outputs(cfg, *xp.run(cfg))
     assert sizes["numpy"] and max(sizes["numpy"]) <= 4
     # per Hamiltonian and ensemble: the 64-level bath, then the 128-dim block
     assert sizes["_lapack"] == [64, 128] * 2 * TINY["rmt-decay"]["n_hamiltonians"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for ensemble in ("GOE", "GUE"):
+        cfg = xp.ExperimentConfig(kind="rmt-decay", seed=3,
+                                  out=str(tmp_path / "fanned" / ensemble),
+                                  **dict(TINY["rmt-decay"], ensemble=ensemble,
+                                         n_env=64))
+        assert xp._workers(cfg) == 2
+        xp.write_outputs(cfg, *xp.run(cfg))
+        assert outputs(tmp_path / "fanned" / ensemble) == outputs(tmp_path / ensemble)
     # spectral-stats draws its Gaussian levels through the same calls
     sizes["_lapack"].clear()
     for source in ("gue", "goe"):
@@ -286,30 +299,25 @@ def test_random_matrix_runs_send_large_lapack_calls_through_lapack_module(
     assert max(sizes["numpy"]) <= 4
 
 
-def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
-    # The kicked-Ising time evolutions match byte for byte across BLAS thread
-    # counts, the 16-spin register's large reduced block included, and
-    # between a child pinned to one core, which steps its evolutions
-    # serially, and one that fans them out over every core.  Left out on
-    # purpose: the random-matrix kinds (LAPACK's eigenvectors change with
-    # the thread count) and spectral-stats with a kicked-ring source (so do
-    # zgeev's eigenvalues).
-    configs = [(kind, TINY[kind])
-               for kind in ("ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule")]
-    configs.append(("memory-sumrule", REGISTER))
+def _runs_across_threads_and_cores(tmp_path, configs, settings):
+    """Outputs and worker counts of each config, run in a child process for
+    each (OPENBLAS_NUM_THREADS, cores) setting: cores 'all' the child's own,
+    'one-core' pinned to one, 'four' four usable cores faked."""
     script = (
         "import ast, os, sys\n"
         "if sys.argv[3] == 'one-core':\n"
         "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "if sys.argv[3] == 'four':\n"
+        "    os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
         "import qdeco.experiments as xp\n"
         "for i, (kind, kw) in enumerate(ast.literal_eval(sys.argv[2])):\n"
         "    cfg = xp.ExperimentConfig(kind=kind, seed=3,\n"
         "                              out=f'{sys.argv[1]}/{i}', **kw)\n"
-        "    print(xp._ki_workers(cfg))\n"
+        "    print(xp._workers(cfg))\n"
         "    xp.write_outputs(cfg, *xp.run(cfg))\n")
     src = str(Path(xp.__file__).resolve().parents[1])
     runs, workers = [], []
-    for threads, cores in (("1", "all"), ("2", "all"), ("2", "one-core")):
+    for threads, cores in settings:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -320,12 +328,59 @@ def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
         workers.append([int(w) for w in run.stdout.split()])
         runs.append([outputs(out / str(i)) for i in range(len(configs))])
     assert all(len(files) == 2 for files in runs[0])
+    return runs, workers
+
+
+def test_kicked_ising_outputs_independent_of_blas_threads(tmp_path):
+    # The kicked-Ising time evolutions match byte for byte across BLAS thread
+    # counts, the 16-spin register's large reduced block included, and
+    # between a child pinned to one core, which steps its evolutions
+    # serially, and one that fans them out over every core.  Left out on
+    # purpose: spectral-stats with a kicked-ring source (zgeev's eigenvalues
+    # change with the thread count).
+    configs = [(kind, TINY[kind])
+               for kind in ("ki-decay", "ki-cp", "ki-vs-rmt", "memory-sumrule")]
+    configs.append(("memory-sumrule", REGISTER))
+    runs, workers = _runs_across_threads_and_cores(
+        tmp_path, configs, (("1", "all"), ("2", "all"), ("2", "one-core")))
     assert runs[0] == runs[1] == runs[2]
     # the pinned child steps serially; every config has at least two
     # evolutions, which the others spread over the cores there are
     assert workers[2] == [1] * len(configs)
     cores = len(os.sched_getaffinity(0))
     assert all(w >= min(cores, 2) for w in workers[0] + workers[1])
+
+
+def test_several_hamiltonian_outputs_independent_of_cores_and_blas_threads(
+        tmp_path):
+    # A random-matrix run with several Hamiltonians runs each on one BLAS
+    # thread, serially or forked, so its outputs match byte for byte across
+    # OPENBLAS_NUM_THREADS and one, two and four usable cores: rmt-decay in
+    # every layout a config reaches, both ensembles, with blocks of 128 to
+    # 512 rows, where OpenBLAS spreads a call over its threads; rmt-cp and
+    # unitality.  Left out on purpose: single-Hamiltonian calls, which keep
+    # the library's threads (rmt-sigma with n_hamiltonians = 1).
+    decay = dict(coupling=0.05, n_hamiltonians=3, n_initials=2, n_times=5)
+    configs = [("rmt-decay", dict(decay, configuration=layout, ensemble=ensemble,
+                                  n_env=64 if layout == "separate" else 128))
+               for layout in ("one-qubit", "spectator", "separate", "joint")
+               for ensemble in ("GOE", "GUE")]
+    configs += [("rmt-cp", dict(TINY["rmt-cp"], n_env=128, n_hamiltonians=3)),
+                ("unitality", dict(TINY["unitality"], n_env_list=(64, 256),
+                                   n_realizations=3))]
+    runs, workers = _runs_across_threads_and_cores(
+        tmp_path, configs,
+        (("1", "all"), ("2", "all"), ("2", "one-core"), ("2", "four")))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert workers[2] == [1] * len(configs)
+    assert workers[3] == [3] * len(configs)
+    cores = len(os.sched_getaffinity(0))
+    assert all(w == min(cores, 3) for w in workers[0] + workers[1])
+
+
+def _plan(cfg) -> int:
+    """The kind's plan at the run's worker count, which ``run`` checks."""
+    return xp._PLANS[cfg.kind](cfg, xp._workers(cfg))
 
 
 def _openblas_threads() -> int:
@@ -362,7 +417,7 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails, fan_out):
     before = _openblas_threads()
     for kind in ("ki-decay", "memory-sumrule"):
         cfg = xp.ExperimentConfig(kind=kind, seed=3, **TINY[kind])
-        assert (xp._ki_workers(cfg) > 1) == fan_out
+        assert (xp._workers(cfg) > 1) == fan_out
         pids.clear()
         if fails:
             with pytest.raises(RuntimeError, match="evolution failed"):
@@ -403,9 +458,16 @@ def test_fan_out_steps_serially_without_blas_thread_control(monkeypatch):
     assert serial.rows.tobytes() == fanned.rows.tobytes()
 
 
-def test_random_matrix_runs_never_fan_out(monkeypatch, tmp_path):
-    # only the kicked-Ising kinds enter the fan-out or touch the BLAS
-    # thread count
+# one Hamiltonian, as the benchmark's rmt-goe-sigma has, and still two
+# realizations per bath size
+ONE_HAMILTONIAN = [("rmt-sigma", dict(TINY["rmt-sigma"], n_hamiltonians=1)),
+                   ("rmt-decay", dict(TINY["rmt-decay"], n_hamiltonians=1))]
+
+
+def test_only_runs_with_several_jobs_fan_out(monkeypatch, tmp_path):
+    # every kind with several Hamiltonians, realizations or evolutions (each
+    # TINY config but spectral-stats) enters the fan-out, which sets the BLAS
+    # thread count; a single Hamiltonian and spectral-stats touch neither
     entered = []
 
     def recording(fn, name):
@@ -414,17 +476,17 @@ def test_random_matrix_runs_never_fan_out(monkeypatch, tmp_path):
             return fn(*args, **kw)
         return wrapped
 
-    monkeypatch.setattr(ki, "evolve_many", recording(ki.evolve_many, "fan-out"))
-    monkeypatch.setattr(ki._lapack, "blas_threads",
-                        recording(ki._lapack.blas_threads, "blas"))
-    for kind, kw in TINY.items():
+    monkeypatch.setattr(xp._lapack, "fan_out", recording(xp._lapack.fan_out, "fan-out"))
+    monkeypatch.setattr(xp._lapack, "blas_threads",
+                        recording(xp._lapack.blas_threads, "blas"))
+    for kind, kw in list(TINY.items()) + ONE_HAMILTONIAN:
         entered.clear()
         cfg = xp.ExperimentConfig(kind=kind, seed=3, out=str(tmp_path / kind), **kw)
         xp.write_outputs(cfg, *xp.run(cfg))
-        if kind.startswith("ki-") or kind == "memory-sumrule":
-            assert "fan-out" in entered, kind
-        else:
+        if kind == "spectral-stats" or kw.get("n_hamiltonians") == 1:
             assert entered == [], kind
+        else:
+            assert "fan-out" in entered and "blas" in entered, kind
 
 
 def test_csv_serialization_precision(tmp_path):
@@ -542,7 +604,9 @@ def test_rmt_sigma_runner_small():
 
 
 def test_rmt_sigma_diagonalizes_each_hamiltonian_once(monkeypatch):
-    # both angle families are evolved from one propagator per Hamiltonian
+    # both angle families are evolved from one propagator per Hamiltonian;
+    # on one usable core every Hamiltonian is built in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     built = []
 
     class Counting(rm.Propagator):
@@ -746,17 +810,17 @@ def test_ki_worker_count_fits_plan_budget(monkeypatch, kind, kw, tight_steps):
     # count is the largest whose plan fits, and the kind's plan is that one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     cfg = xp.ExperimentConfig(kind=kind, **kw)
-    workers = xp._ki_workers(cfg)
+    workers = xp._workers(cfg)
     assert 1 < workers < 64
     assert xp._plan_ki(cfg, workers) <= xp.MAX_PLAN_BYTES
     assert xp._plan_ki(cfg, workers + 1) > xp.MAX_PLAN_BYTES
-    assert xp._PLANS[kind](cfg) == xp._plan_ki(cfg, workers)
+    assert _plan(cfg) == xp._plan_ki(cfg, workers)
     # a run whose long series fit beside one thread's vectors, not beside
     # two, runs on one thread and is not refused
     tight = replace(cfg, n_realizations=16, steps=tight_steps, stride=1)
     assert xp._plan_ki(tight, 1) <= xp.MAX_PLAN_BYTES < xp._plan_ki(tight, 2)
-    assert xp._ki_workers(tight) == 1
-    assert xp._PLANS[kind](tight) <= xp.MAX_PLAN_BYTES
+    assert xp._workers(tight) == 1
+    assert _plan(tight) <= xp.MAX_PLAN_BYTES
 
 
 @pytest.mark.parametrize("kind, kw", [
@@ -768,15 +832,33 @@ def test_ki_worker_count_fits_plan_budget(monkeypatch, kind, kw, tight_steps):
 ])
 @pytest.mark.parametrize("cores", [1, 2])
 def test_ki_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
+    _check_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores)
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("rmt-decay", dict(TINY["rmt-decay"], n_env=64, n_hamiltonians=3)),
+    ("rmt-decay", dict(TINY["rmt-decay"], configuration="joint", ensemble="GOE",
+                       n_env=32, n_hamiltonians=3)),
+    ("rmt-cp", dict(TINY["rmt-cp"], n_env=64, n_hamiltonians=3)),
+    # one bath size each: the children of one Monte Carlo call run together
+    ("rmt-sigma", dict(TINY["rmt-sigma"], n_env_list=(64,), n_hamiltonians=3)),
+    ("unitality", dict(TINY["unitality"], n_env_list=(64,), n_realizations=3)),
+])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_rmt_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
+    _check_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores)
+
+
+def _check_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
     # the plan at the run's worker count bounds the traced peak of the
     # parent plus each child's own traced peak, what it allocated beyond
     # its memory at the fork
     import tracemalloc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
-    assert xp._ki_workers(cfg) == cores
+    assert xp._workers(cfg) == cores
     xp.run(cfg)  # first-call costs: lazy imports, caches
-    fork, dumps, at_fork = os.fork, ki.pickle.dumps, []
+    fork, dumps, at_fork = os.fork, xp._lapack.pickle.dumps, []
 
     def forked():
         pid = fork()
@@ -793,7 +875,7 @@ def test_ki_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
         return data
 
     monkeypatch.setattr(os, "fork", forked)
-    monkeypatch.setattr(ki.pickle, "dumps", sending)
+    monkeypatch.setattr(xp._lapack.pickle, "dumps", sending)
     tracemalloc.start()
     try:
         xp.run(cfg)
@@ -802,7 +884,34 @@ def test_ki_plan_bounds_fan_out_peak(monkeypatch, tmp_path, kind, kw, cores):
         tracemalloc.stop()
     children = [int(p.read_text()) for p in tmp_path.iterdir()]
     assert len(children) == cores - 1
-    assert peak + sum(children) <= xp._PLANS[kind](cfg)
+    assert peak + sum(children) <= _plan(cfg)
+
+
+def test_rmt_worker_count_fits_plan_budget(monkeypatch, tmp_path):
+    # a one-qubit GUE run at the 2048 bath cap holds a 4096-row complex
+    # block and its eigenvectors, half the budget, in each process: two
+    # Hamiltonians fit on one worker, not on two, and are not refused
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cap = xp.ExperimentConfig(configuration="one-qubit", n_env=2048,
+                              n_hamiltonians=2, n_initials=1, n_times=2)
+    assert xp._plan_rmt_decay(cap, 1) <= xp.MAX_PLAN_BYTES < xp._plan_rmt_decay(cap, 2)
+    assert xp._workers(cap) == 1
+    assert _plan(cap) <= xp.MAX_PLAN_BYTES
+    # the same under a budget small enough to run: a config that fits on one
+    # worker, not on two, runs in this process and exits 0; one that does
+    # not fit on one worker exits 3
+    cfg = xp.ExperimentConfig(kind="rmt-decay", **TINY["rmt-decay"])
+    one, two = xp._plan_rmt_decay(cfg, 1), xp._plan_rmt_decay(cfg, 2)
+    args = ["rmt-decay", "--out", str(tmp_path)]
+    for key, value in TINY["rmt-decay"].items():
+        args += ["--set", f"{key}={value}"]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked over the budget"))
+    runner = CliRunner()
+    for budget, code in (((one + two) // 2, 0), (one - 1, 3)):
+        monkeypatch.setattr(xp, "MAX_PLAN_BYTES", budget)
+        assert xp._workers(cfg) == 1
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
 
 
 @pytest.mark.parametrize("kind, kw, sixteen", [
@@ -818,10 +927,10 @@ def test_small_ki_registers_step_serially(monkeypatch, kind, kw, sixteen):
     cfg = xp.ExperimentConfig(kind=kind, seed=3, **kw)
     assert (xp._ki_dims(cfg)[0] == 1 << 16) == sixteen
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert xp._ki_workers(cfg) > 1
-    assert xp._PLANS[kind](cfg) == xp._plan_ki(cfg, xp._ki_workers(cfg))
+    assert xp._workers(cfg) > 1
+    assert _plan(cfg) == xp._plan_ki(cfg, xp._workers(cfg))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert xp._ki_workers(cfg) == 1
+    assert xp._workers(cfg) == 1
     pids, seen, evolve_ki = [], [], ki.evolve_ki
 
     def recording(*args, **kw):
@@ -837,9 +946,11 @@ def test_small_ki_registers_step_serially(monkeypatch, kind, kw, sixteen):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts the threads in /proc/self/task")
-def test_only_kicked_ising_runs_fork_and_with_one_thread(monkeypatch, tmp_path):
-    # every fork of a kicked-Ising run happens with one OS thread in the
-    # process, OpenBLAS's idle threads stopped; random-matrix runs never fork
+def test_runs_with_several_jobs_fork_with_one_thread(monkeypatch, tmp_path):
+    # every fork of a run with several Hamiltonians, realizations or
+    # kicked-Ising evolutions happens with one OS thread in the process,
+    # OpenBLAS's idle threads stopped; a single Hamiltonian and
+    # spectral-stats never fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     fork, threads = os.fork, []
 
@@ -848,15 +959,15 @@ def test_only_kicked_ising_runs_fork_and_with_one_thread(monkeypatch, tmp_path):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    for kind, kw in TINY.items():
+    for kind, kw in list(TINY.items()) + ONE_HAMILTONIAN:
         threads.clear()
         np.ones((256, 256)) @ np.ones((256, 256))  # wakes OpenBLAS's threads
         cfg = xp.ExperimentConfig(kind=kind, seed=3, out=str(tmp_path / kind), **kw)
         xp.write_outputs(cfg, *xp.run(cfg))
-        if kind.startswith("ki-") or kind == "memory-sumrule":
-            assert threads and set(threads) == {1}, kind
-        else:
+        if kind == "spectral-stats" or kw.get("n_hamiltonians") == 1:
             assert threads == [], kind
+        else:
+            assert threads and set(threads) == {1}, kind
 
 
 def test_child_results_larger_than_a_pipe_buffer_arrive_intact(monkeypatch):
@@ -875,7 +986,7 @@ def test_child_results_larger_than_a_pipe_buffer_arrive_intact(monkeypatch):
     try:
         for cores in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c)
-            assert xp._ki_workers(cfg) == len(cores)
+            assert xp._workers(cfg) == len(cores)
             tables, summary = xp.run(cfg)
             runs.append((tables["ki-decay"].rows.tobytes(), summary))
     finally:
@@ -891,10 +1002,10 @@ def test_ki_runs_without_sched_getaffinity_or_fork(monkeypatch):
     want = xp.run(cfg)[0]["ki-decay"].rows.tobytes()
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert xp._ki_workers(cfg) == 2
+    assert xp._workers(cfg) == 2
     assert xp.run(cfg)[0]["ki-decay"].rows.tobytes() == want
     monkeypatch.delattr(os, "fork")
-    assert xp._ki_workers(cfg) == 1
+    assert xp._workers(cfg) == 1
     pids, evolve_ki = [], ki.evolve_ki
 
     def recording(*args, **kw):
@@ -961,18 +1072,18 @@ def test_cli_refuses_oversized_random_matrix_counts(tmp_path, kind, key):
 
 
 def test_presets_plan_under_budget():
-    plans = [xp._PLANS[cfg.kind](cfg) for cfg in map(xp.preset, xp.preset_names())]
+    plans = [_plan(cfg) for cfg in map(xp.preset, xp.preset_names())]
     assert len(plans) == 11
     assert max(plans) < xp.MAX_PLAN_BYTES
     # so do each kind's defaults, a one-qubit GUE run at the 2048 bath cap,
     # and a kicked-ring spectrum at its 12-spin cap
     for kind in xp.EXPERIMENT_KINDS:
-        assert xp._PLANS[kind](xp.ExperimentConfig(kind=kind)) < xp.MAX_PLAN_BYTES
+        assert _plan(xp.ExperimentConfig(kind=kind)) < xp.MAX_PLAN_BYTES
     cap = replace(xp.ExperimentConfig(), configuration="one-qubit", n_env=2048)
-    assert xp._PLANS["rmt-decay"](cap) < xp.MAX_PLAN_BYTES
+    assert _plan(cap) < xp.MAX_PLAN_BYTES
     spectrum = xp.ExperimentConfig(kind="spectral-stats", source="ki-chaotic",
                                    ki_spins=ki.MAX_SPECTRUM_SPINS)
-    assert xp._PLANS["spectral-stats"](spectrum) < xp.MAX_PLAN_BYTES
+    assert _plan(spectrum) < xp.MAX_PLAN_BYTES
 
 
 @pytest.mark.parametrize("kind, values, key", [

@@ -1,4 +1,6 @@
+import ctypes
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -309,9 +311,11 @@ def test_goe_block_resident_once(tmp_path):
     dict(configuration="separate", n_env=(16, 24)),
     dict(configuration="joint", n_env=24),
     dict(configuration="n-qubit", n_env=8, n_qubits=3)])
-def test_plan_bounds_monte_carlo_peak(spec_kw, ensemble):
+def test_plan_bounds_monte_carlo_peak(monkeypatch, spec_kw, ensemble):
     # planned_bytes, which refuses oversized runs, is at least what a
-    # monte_carlo call holds at its peak, in every layout
+    # monte_carlo call holds at its peak, in every layout, on one process:
+    # with one usable core every Hamiltonian runs in the caller
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     spec = rm.ModelSpec(ensemble=ensemble, coupling=0.1, **spec_kw)
     params = lr.InitParams(theta=0.3, phi=0.5)
     times = np.linspace(0.0, 2 * spec.nominal_tau_h(), 11)
@@ -527,6 +531,91 @@ def test_unitality_experiment_basics():
     spec = rm.ModelSpec("one-qubit", 12, "GUE", 0.15)
     dist = rm.unitality_experiment(spec, np.linspace(0, 6, 4), 4, qdeco.rng(18))
     assert np.all(dist >= 0) and dist.shape == (4,)
+
+
+def _openblas_threads() -> int:
+    return rm._lapack._routine("scipy_openblas_get_num_threads64_", (),
+                               ctypes.c_int)()
+
+
+def test_several_hamiltonians_run_on_one_blas_thread(monkeypatch):
+    # with several Hamiltonians OpenBLAS reads one thread inside each, in the
+    # caller and in the forked children (a child's error reaches the
+    # caller); a single Hamiltonian keeps the library's count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    propagator, seen, fork, forks = rm.Propagator, [], os.fork, []
+
+    def checked(*args):
+        if _openblas_threads() != 1:
+            raise RuntimeError(f"OpenBLAS on {_openblas_threads()} threads")
+        seen.append(os.getpid())
+        return propagator(*args)
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(rm, "Propagator", checked)
+    monkeypatch.setattr(os, "fork", counted)
+    spec = small_spec(n_env=16)
+    times = np.linspace(0.0, 2.0, 3)
+    rm.monte_carlo(spec, lr.InitParams(theta=0.2), times, 5, 2, qdeco.rng(4))
+    rm.unitality_experiment(rm.ModelSpec("one-qubit", 16, "GOE", 0.1), times, 3,
+                            qdeco.rng(5))
+    assert len(forks) == 3 + 2
+    assert seen == [os.getpid()] * (2 + 1)  # the caller's first shares
+    before, eigh = _openblas_threads(), rm._lapack.eigh
+
+    def recorded(a):
+        seen.append(_openblas_threads())
+        return eigh(a)
+
+    monkeypatch.setattr(rm, "Propagator", propagator)
+    monkeypatch.setattr(rm._lapack, "eigh", recorded)
+    seen.clear()
+    rm.monte_carlo(spec, lr.InitParams(theta=0.2), times, 1, 2, qdeco.rng(4))
+    assert seen == [before] and len(forks) == 5
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("zheevr failed, info 7"),
+                                   ResourceLimitError("block over its cap")])
+def test_child_hamiltonian_errors_reach_the_caller(monkeypatch, error):
+    # an error in a forked child's Hamiltonian is raised in the caller with
+    # its type and message, and no child is left behind (conftest)
+    parent, eigh = os.getpid(), rm._lapack.eigh
+
+    def failing(a):
+        if os.getpid() != parent:
+            raise error
+        return eigh(a)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(rm._lapack, "eigh", failing)
+    with pytest.raises(type(error)) as raised:
+        rm.monte_carlo(small_spec(), lr.InitParams(theta=0.2),
+                       np.linspace(0.0, 1.0, 3), 4, 2, qdeco.rng(6))
+    assert str(raised.value) == str(error)
+
+
+def test_average_of_pickled_trajectories_is_byte_identical():
+    # a Hamiltonian's series are strided views of its density matrices until
+    # measure makes them C-ordered; a forked child's come back through a
+    # pickle, and the average must not see the difference
+    spec = small_spec(n_env=16)
+    params = lr.InitParams(theta=0.3, phi=0.5)
+    times = np.linspace(0.0, 4.0, 41)
+    g = qdeco.rng(7)
+    trs = []
+    for _ in range(3):
+        prop = rm.Propagator(spec, g)
+        psi0s = np.array([rm.initial_state(spec, rm.central_state(spec, params), g)
+                          for _ in range(15)])
+        trs.append(rm._measure(prop.central_states(psi0s, times)[0], times))
+    here = average(trs)
+    there = average([pickle.loads(pickle.dumps(tr)) for tr in trs])
+    for name in ("purity", "concurrence", "entropy", "offdiag", "purity_std",
+                 "concurrence_std"):
+        assert getattr(here, name).tobytes() == getattr(there, name).tobytes(), name
 
 
 def test_unitality_distance_shrinks_with_bath():
