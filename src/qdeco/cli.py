@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import click
 
@@ -52,27 +53,23 @@ def _make_command(kind: str):
                   help="extra key=value overrides (repeatable)")
     def command(config_path, preset_name, seed, out_dir, overrides):
         try:
-            cfg = xp.ExperimentConfig(kind=kind)
-            if preset_name:
-                cfg = xp.preset(preset_name)
-                if cfg.kind != kind:
-                    raise ConfigError(
-                        f"preset {preset_name!r} is a {cfg.kind} experiment, "
-                        f"not {kind}")
+            # preset or defaults, config file, --set, then --seed and --out
+            cfg = xp.preset(preset_name) if preset_name else xp.ExperimentConfig(kind=kind)
             if config_path:
                 cfg = xp.load_config(config_path, base=cfg)
-                if cfg.kind != kind:
-                    raise ConfigError(
-                        f"config file sets kind={cfg.kind!r}, not {kind}")
-            if overrides:
-                cfg = xp.apply_overrides(cfg, overrides)
-            updates = {}
+            cfg = xp.apply_overrides(cfg, overrides)
             if seed is not None:
-                updates["seed"] = seed
+                cfg = replace(cfg, seed=seed)
             if out_dir is not None:
-                updates["out"] = out_dir
-            if updates:
-                cfg = replace(cfg, **updates)
+                cfg = replace(cfg, out=out_dir)
+            if cfg.kind != kind:
+                raise ConfigError(f"the configuration is a {cfg.kind} experiment, "
+                                  f"not {kind}")
+            out = Path(cfg.out)
+            # the nearest existing path must be a directory for mkdir to succeed
+            if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+                raise ConfigError(f"out = {cfg.out!r} cannot be a directory: "
+                                  f"it is a file or lies under one")
             tables, summary = xp.run(cfg)
             written = xp.write_outputs(cfg, tables, summary)
         except ConfigError as err:

@@ -101,6 +101,8 @@ class ExperimentConfig:
         if self.threads != 1 or self.n_times < 2:
             raise ConfigError("threads must be 1 (a run picks its own thread "
                               "count), n_times >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("steps", "stride", "n_realizations", "rmt_draws", "k2_points",
                      "rmt_dim"):
             if getattr(self, name) < 1:
@@ -163,14 +165,18 @@ def _parse_value(name: str, raw: str):
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read a sectioned ``key = value`` file; unknown keys are rejected."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot parse config file {path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     updates = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             updates[key] = _parse_value(key, raw)
@@ -361,7 +367,7 @@ def _run_rmt_cp(cfg: ExperimentConfig, gen):
 def _run_rmt_sigma(cfg: ExperimentConfig, gen):
     sizes = [int(n) for n in cfg.n_env_list]
     t_fix = cfg.sigma_time_factor * 2.0 * math.sqrt(max(sizes))
-    times = np.array([0.0, t_fix])
+    times = np.array([t_fix])
     params = lr.InitParams.equatorial(
         0.0 if cfg.configuration == "one-qubit" else cfg.theta,
         0.0 if math.isnan(cfg.gamma) else cfg.gamma)
@@ -655,9 +661,9 @@ def _plan_rmt_cp(cfg: ExperimentConfig, workers: int) -> int:
 
 
 def _plan_rmt_sigma(cfg: ExperimentConfig, workers: int) -> int:
-    # two times and two initial-state families per Hamiltonian, largest bath
+    # one time and two initial-state families per Hamiltonian, largest bath
     spec = _model_spec(replace(cfg, n_env=int(max(cfg.n_env_list))), cfg.delta[0])
-    return rm.planned_bytes(spec, 2, cfg.n_hamiltonians, 2 * cfg.n_initials, workers)
+    return rm.planned_bytes(spec, 1, cfg.n_hamiltonians, 2 * cfg.n_initials, workers)
 
 
 def _plan_unitality(cfg: ExperimentConfig, workers: int) -> int:

@@ -144,6 +144,8 @@ def geometric_factors(params: InitParams):
 
 # quadrature grid cap: the kernel's arrays peak near 64 MiB at this size
 MAX_GRID_POINTS = 1 << 20
+# quadrature points per Heisenberg time
+POINTS_PER_TAUH = 2000
 
 
 def cumulative_trapezoid(y, x):
@@ -153,12 +155,12 @@ def cumulative_trapezoid(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
+def _hole_integrals(beta, tau_h, g1, g2, delta, times):
     """integral_0^t (t-u) b2(u/tau_h) [g1 + g2 cos(delta u)] du at each t."""
     t_max = times.max()
     if t_max == 0.0:
         return np.zeros_like(times)
-    n = points_per_tauh * t_max / tau_h
+    n = POINTS_PER_TAUH * t_max / tau_h
     if not n <= MAX_GRID_POINTS:
         raise ResourceLimitError(f"quadrature grid of {n:.3g} points up to "
                                  f"t = {t_max:.3g} exceeds {MAX_GRID_POINTS}")
@@ -174,7 +176,7 @@ def _hole_integrals(beta, tau_h, g1, g2, delta, times, points_per_tauh):
     return times * c0[idx] - c1[idx]
 
 
-def _coupling_contribution(beta, tau_h, lam, d, params, times, points_per_tauh):
+def _coupling_contribution(beta, tau_h, lam, d, params, times):
     """2 lambda^2 x (double time integral of the response kernel) for one
     coupled qubit with splitting d."""
     _, _, g1, g2 = geometric_factors(params)
@@ -188,7 +190,7 @@ def _coupling_contribution(beta, tau_h, lam, d, params, times, points_per_tauh):
         g1 * times**2
         + g2 * osc
         + tau_h * times * (g1 + g2)
-        - 2.0 * _hole_integrals(beta, tau_h, g1, g2, d, times, points_per_tauh)
+        - 2.0 * _hole_integrals(beta, tau_h, g1, g2, d, times)
     )
     if beta == 1:
         i_corr += g1 * times**2 - (1.0 - g2) * (np.exp(2j * params.eta) * sq).real
@@ -203,8 +205,8 @@ def _per_coupling(config, params, params2):
     return zip(config.beta, config.tau_h, config.couplings, config.deltas, states)
 
 
-def purity_lr(config: LRConfig, params: InitParams, t, params2: InitParams | None = None,
-              points_per_tauh: int = 2000):
+def purity_lr(config: LRConfig, params: InitParams, t,
+              params2: InitParams | None = None):
     """Leading-order average purity 1 - 2 sum_i lambda_i^2 Re(double integral
     of the response kernel).  Its truncation error on 1 - P is about
     (1 - P)/(2 (1 - P_inf)) relative, the gap to ``exponentiate`` with the
@@ -225,7 +227,7 @@ def purity_lr(config: LRConfig, params: InitParams, t, params2: InitParams | Non
                     f"{config.n_env * 2.0 * np.pi / tau_h:.3g}; kernel unreliable",
                     stacklevel=2,
                 )
-        loss += _coupling_contribution(beta, tau_h, lam, d, p, times, points_per_tauh)
+        loss += _coupling_contribution(beta, tau_h, lam, d, p, times)
     out = 1.0 - loss
     big = 1.0 - out > 0.3
     if np.any(big):

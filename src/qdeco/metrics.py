@@ -137,26 +137,14 @@ UNITAL_AREA = 1.0 / 18.0
 @dataclass
 class CPCurve:
     """Concurrence averaged in purity bins; purity strictly decreasing.
-
-    ``physical`` flags bins inside the admissible two-qubit region
-    (P in [1/4, 1], C in [0, 1], up to 1e-9 slack); out-of-range bins are
-    kept, only marked.
-    """
+    Out-of-range bins are kept."""
     purity: np.ndarray
     concurrence: np.ndarray
     counts: np.ndarray
-    bin_width: float
-    physical: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.purity) >= 0):
             raise ValueError("binned purities must be strictly decreasing")
-        if self.physical is None:
-            slack = 1e-9
-            self.physical = (
-                (self.purity >= 0.25 - slack) & (self.purity <= 1.0 + slack)
-                & (self.concurrence >= -slack) & (self.concurrence <= 1.0 + slack)
-            )
 
 
 def bin_cp_samples(purities, concurrences, bin_width: float = 0.005) -> CPCurve:
@@ -171,7 +159,7 @@ def bin_cp_samples(purities, concurrences, bin_width: float = 0.005) -> CPCurve:
     idx = np.floor((1.0 - p) / bin_width).clip(0).astype(int)
     _, bins, counts = np.unique(idx, return_inverse=True, return_counts=True)
     return CPCurve(np.bincount(bins, p) / counts, np.bincount(bins, c) / counts,
-                   counts, bin_width)
+                   counts)
 
 
 def cp_distance(curve: CPCurve) -> float:

@@ -89,27 +89,6 @@ def random_state(dim: int, gen) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _check_range(name, value, lo, hi):
-    if not lo - 1e-12 <= value <= hi + 1e-12:
-        raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
-
-
-def two_qubit_pair(theta: float, phi: float) -> np.ndarray:
-    """Two-qubit state with Schmidt angle theta and magnetization angle phi:
-
-        cos(theta) (cos(phi)|0> + sin(phi)|1>) |0>
-      + sin(theta) (sin(phi)|0> - cos(phi)|1>) |1>
-
-    First factor is qubit 0 (bit 0), second qubit 1.  Concurrence sin(2 theta).
-    """
-    _check_range("theta", theta, 0.0, np.pi / 4)
-    _check_range("phi", phi, 0.0, np.pi / 2)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    # index mu = (qubit0) + 2*(qubit1)
-    return np.array([ct * cp, ct * sp, st * sp, -st * cp], dtype=complex)
-
-
 def schmidt_pair(phi: float, eta: float):
     """Orthonormal qubit basis at magnetization angle phi with component
     phase eta = arg(first) - arg(second)."""
@@ -124,7 +103,8 @@ def two_qubit_pair_general(theta: float, phi1: float, eta1: float,
                            phi2: float = 0.0, eta2: float = 0.0) -> np.ndarray:
     """Pair state cos(theta)|a0 b0> + sin(theta)|a1 b1> with Schmidt vectors
     of each qubit set by its (phi, eta); qubit 0 is the (phi1, eta1) one."""
-    _check_range("theta", theta, 0.0, np.pi / 4)
+    if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
+        raise ValueError(f"theta={theta} outside [0, pi/4]")
     a0, a1 = schmidt_pair(phi1, eta1)
     b0, b1 = schmidt_pair(phi2, eta2)
     ct, st = np.cos(theta), np.sin(theta)

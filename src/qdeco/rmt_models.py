@@ -338,20 +338,18 @@ class Propagator:
                 view[...] = rows.reshape(view.shape)
             del rows  # a copy is freed before the next block's
 
-    def _slices(self, psi, times, out=None):
+    def _slices(self, psi, times):
         """Evolve a C-ordered batch psi (batch, total_dim) slice of times by
         slice, yielding each slice's first time index and its states
-        (len(slice), batch, total_dim).  These land in ``out`` when given,
-        else in one buffer that the next slice overwrites.  The batch is
-        projected into the eigenbasis once, inside ``psi``, which is
-        consumed; each slice multiplies its phases into its buffer and
-        rotates that back in place."""
+        (len(slice), batch, total_dim) in one buffer that the next slice
+        overwrites.  The batch is projected into the eigenbasis once, inside
+        ``psi``, which is consumed; each slice multiplies its phases into the
+        buffer and rotates that back in place."""
         self._rotate(psi, adjoint=True)
-        if out is None:
-            buffer = np.empty((min(len(times), _TIME_SLICE),) + psi.shape, dtype=complex)
+        buffer = np.empty((min(len(times), _TIME_SLICE),) + psi.shape, dtype=complex)
         for k in range(0, len(times), _TIME_SLICE):
             t = times[k:k + _TIME_SLICE]
-            dst = buffer[:len(t)] if out is None else out[k:k + len(t)]
+            dst = buffer[:len(t)]
             phases = np.exp(-1j * np.multiply.outer(t, self.energies))[:, None, :]
             np.multiply(phases, psi, out=dst)
             del phases  # freed before the rotation's scratch
@@ -368,8 +366,8 @@ class Propagator:
         psi = np.atleast_2d(np.array(psi0, dtype=complex))  # a copy to consume
         times = np.asarray(times, dtype=float)
         out = np.empty((len(times),) + psi.shape, dtype=complex)
-        for _ in self._slices(psi, times, out):
-            pass
+        for k, states in self._slices(psi, times):
+            out[k:k + len(states)] = states
         return out[:, 0, :] if single else out
 
     def central_states(self, psi0s, times, groups: int = 1):

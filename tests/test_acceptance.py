@@ -295,7 +295,7 @@ def test_criterion_6_oracle_equivalences():
     worst_c = max(
         abs(metrics.concurrence(np.outer(p, p.conj())) - np.sin(2 * th))
         for th in np.linspace(0, np.pi / 4, 9)
-        for p in [qstate.two_qubit_pair(th, g.uniform(0, np.pi / 2))])
+        for p in [qstate.two_qubit_pair_general(th, g.uniform(0, np.pi / 2), 0.0)])
     # forward vs echo purity on a dense model
     spec = rm.ModelSpec("spectator", 8, "GUE", 0.3, (0.9, 0.0))
     h, _ = rm.build_hamiltonian(spec, qdeco.rng(72))

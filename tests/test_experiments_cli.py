@@ -55,6 +55,16 @@ def test_config_file_roundtrip(tmp_path):
     bad2.write_text("[nowhere]\nn_env = 4\n")
     with pytest.raises(ConfigError):
         xp.load_config(bad2)
+    # files configparser cannot parse: no section header, a key or a section
+    # given twice, bytes that are not text
+    for name, data in (("headless.ini", b"n_env = 16\n"),
+                       ("twice-key.ini", b"[model]\nn_env = 16\nn_env = 32\n"),
+                       ("twice-section.ini", b"[model]\nn_env = 16\n[model]\n"),
+                       ("binary.ini", b"[model]\nn_env = \xff\xfe\n")):
+        malformed = tmp_path / name
+        malformed.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"cannot parse config file .*{name}"):
+            xp.load_config(malformed)
 
 
 def test_config_sections_cover_every_key_once(tmp_path):
@@ -666,7 +676,7 @@ def test_presets():
     assert "fig-holeone" in str(err.value)
 
 
-def test_cli_run_and_exit_codes(tmp_path):
+def test_cli_run_and_exit_codes(tmp_path, monkeypatch):
     runner = CliRunner()
     out = tmp_path / "res"
     ok = runner.invoke(main, [
@@ -798,6 +808,25 @@ def test_cli_run_and_exit_codes(tmp_path):
         huge = runner.invoke(main, ["spectral-stats", *args])
         assert huge.exit_code == 3, (values, huge.output)
         assert message in huge.output
+    # bad input from any config source is refused before the plan or any
+    # draw, and nothing is written
+    calls = []
+    monkeypatch.setattr(xp, "run", lambda cfg: calls.append(cfg))
+    unwritten = tmp_path / "unwritten"
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    headless = tmp_path / "headless.ini"
+    headless.write_text("n_env = 16\n")
+    for args in (["ki-decay", "--seed", "-1", "--out", str(unwritten)],
+                 ["ki-decay", "--set", "seed=-1", "--out", str(unwritten)],
+                 ["rmt-decay", "--set", "kind=ki-decay", "--out", str(unwritten)],
+                 ["rmt-decay", "--config", str(headless), "--out", str(unwritten)],
+                 ["rmt-decay", "--out", str(a_file)],
+                 ["rmt-decay", "--out", str(a_file / "below")]):
+        refused_input = runner.invoke(main, args)
+        assert refused_input.exit_code == 2, (args, refused_input.output)
+        assert "configuration error" in refused_input.output
+    assert not calls and not unwritten.exists() and a_file.read_text() == ""
 
 
 @pytest.mark.parametrize("kind, kw, tight_steps", [

@@ -441,7 +441,7 @@ def test_zero_field_diagonal_and_zero_coupling_product():
     j = np.zeros((6, 6))
     fields = np.tile([0.3, 0.2, 0.9], (6, 1))
     model = ki.KIModel(6, j, fields, central_sites=(0, 1))
-    central = qstate.two_qubit_pair(0.4, 0.6)
+    central = qstate.two_qubit_pair_general(0.4, 0.6, 0.0)
     psi = ki.initial_state(model, central, qdeco.rng(4))
     tr = ki.evolve_ki(model, psi, 5)
     assert np.max(np.abs(tr.concurrence - np.sin(0.8))) < 1e-10

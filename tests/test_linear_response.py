@@ -140,12 +140,14 @@ def test_purity_lr_matches_goe_closed_form():
     assert np.max(np.abs(lr.purity_lr(cfgs, ps, t) - lr.closed_forms(cfgs, ps, t))) < 1e-6
 
 
-def test_purity_lr_limits_against_fast_form():
-    # splitting far above the mean level spacing approaches the fast form
+def test_purity_lr_limits_against_fast_form(monkeypatch):
+    # splitting far above the mean level spacing approaches the fast form,
+    # on a grid fine enough to resolve its oscillation
+    monkeypatch.setattr(lr, "POINTS_PER_TAUH", 20000)
     cfg = cfg_single("spectator", 2, delta=1000.0 / TAU)
     t = np.linspace(0.5, 2 * TAU, 8)
     p = lr.InitParams(theta=0.3, phi=0.4)
-    quad = lr.purity_lr(cfg, p, t, points_per_tauh=20000)
+    quad = lr.purity_lr(cfg, p, t)
     closed = lr.closed_forms(cfg, p, t)
     assert np.max(np.abs((1 - quad) - (1 - closed)) / (1 - closed)) < 0.01
 

@@ -93,7 +93,7 @@ def binary_entropy(x):
 def test_concurrence_pure_schmidt_angle():
     # a pure pair's concurrence is 2|c00 c11 - c01 c10| = sin(2 theta)
     for theta in (0.0, 0.2, 0.4, np.pi / 4):
-        psi = qstate.two_qubit_pair(theta, 0.7)
+        psi = qstate.two_qubit_pair_general(theta, 0.7, 0.0)
         pure = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
         assert abs(pure - np.sin(2 * theta)) < 1e-12
         rho = np.outer(psi, psi.conj())
@@ -118,7 +118,7 @@ def test_eof_from_concurrence():
     # a pure pair's entanglement entropy is its entanglement of formation,
     # h((1 + sqrt(1 - C^2))/2)
     for theta in (0.0, 0.3, 0.6, np.pi / 4):
-        psi = qstate.two_qubit_pair(theta, 0.4)
+        psi = qstate.two_qubit_pair_general(theta, 0.4, 0.0)
         c = metrics.concurrence(np.outer(psi, psi.conj()))
         eof = binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
         rho0 = qstate.partial_trace(psi, 0b01)
@@ -198,11 +198,10 @@ def test_cp_curve_binning_and_distance():
     p = g.uniform(0.3, 1.0, 4000)
     curve = metrics.bin_cp_samples(p, metrics.werner_curve(p), bin_width=0.005)
     assert np.all(np.diff(curve.purity) < 0)
-    assert np.all(curve.physical)
     assert metrics.cp_distance(curve) < 2e-4
-    # out-of-range points are kept and flagged, never dropped
+    # out-of-range points are kept, never dropped
     wild = metrics.bin_cp_samples([0.9, 0.1], [0.2, 0.2], bin_width=0.005)
-    assert list(wild.physical) == [True, False]
+    assert list(wild.counts) == [1, 1]
     # constant offset integrates to offset x range
     eps = 0.03
     curve2 = metrics.bin_cp_samples(p, metrics.werner_curve(p) + eps, 0.005)

@@ -229,7 +229,7 @@ def test_random_state_component_mean():
 
 
 def test_canonical_bell_concurrence():
-    psi = qstate.two_qubit_pair(np.pi / 4, np.pi / 4)
+    psi = qstate.two_qubit_pair_general(np.pi / 4, np.pi / 4, 0.0)
     assert abs(metrics.concurrence(np.outer(psi, psi.conj())) - 1.0) < 1e-12
 
 
@@ -253,4 +253,4 @@ def test_pair_general_reduction_matches_density():
 
 def test_canonical_state_dispatch_and_ranges():
     with pytest.raises(ValueError):
-        qstate.two_qubit_pair(1.0, 0.0)  # theta beyond pi/4
+        qstate.two_qubit_pair_general(1.0, 0.0, 0.0)  # theta beyond pi/4
